@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/cluster_forest.h"
+#include "core/kp12_sparsifier.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "sketch/sparse_recovery.h"
@@ -369,6 +372,133 @@ TEST(TwoPass, StagedIngestSharesKp12StagingShape) {
     EXPECT_TRUE(cells_equal(via_absorb.pass1_cells(1, j),
                             via_ingest.pass1_cells(1, j)))
         << "page (r=1, j=" << j << ") diverged";
+  }
+}
+
+
+// ---- pass-2 decode goldens ------------------------------------------------
+//
+// Pins everything pass 2's terminal decode produces -- the spanner edge
+// list (as an FNV-1a digest over the sorted (u, v) pairs), both pass-2
+// failure counters and touched_bytes --
+// over fixed seeds, k in {2, 3}, an ER graph and a churned
+// Barabasi-Albert graph.  The "tight" rows shrink the kv tables and payload
+// budget so overloaded levels and unrecovered neighbors are pinned too.
+// Any change to how the H^u_j banks decode must reproduce these exactly.
+
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+[[nodiscard]] std::uint64_t edge_digest(const Graph& g, bool weights) {
+  std::vector<Edge> edges = g.edges();
+  for (Edge& e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+  });
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : edges) {
+    h = fnv1a(h, (std::uint64_t{e.u} << 32) | e.v);
+    if (weights) h = fnv1a(h, std::bit_cast<std::uint64_t>(e.weight));
+  }
+  return h;
+}
+
+struct Pass2Golden {
+  const char* family;  // "er" or "ba-churn"
+  unsigned k;
+  std::uint64_t seed;
+  bool tight;
+  std::size_t edges;
+  std::uint64_t digest;
+  std::size_t undecodable;
+  std::size_t unrecovered;
+  std::size_t touched_bytes;
+};
+
+[[nodiscard]] DynamicStream golden_stream(const std::string& family,
+                                          std::uint64_t seed) {
+  if (family == "er") {
+    return DynamicStream::from_graph(erdos_renyi_gnm(128, 900, seed), seed + 1);
+  }
+  return DynamicStream::with_churn(barabasi_albert_graph(160, 4, seed), 320,
+                                   seed + 1);
+}
+
+TEST(TwoPass, Pass2DecodeGoldensPinned) {
+  const Pass2Golden goldens[] = {
+      {"er", 2, 1, false, 816, 0xe2f37215e6b6458aULL, 0, 0, 11271752},
+      {"er", 2, 2, false, 802, 0x0c5fca78bcda93a1ULL, 0, 0, 10098176},
+      {"er", 3, 1, false, 588, 0x41da45b35ace1e2eULL, 0, 0, 7314184},
+      {"er", 3, 2, false, 636, 0x5b2c764b0240b93fULL, 0, 0, 7705640},
+      {"ba-churn", 2, 1, false, 583, 0x2754de46f2d92fc0ULL, 0, 0, 7847384},
+      {"ba-churn", 2, 2, false, 606, 0x6558478b3967146fULL, 0, 0, 7547584},
+      {"ba-churn", 3, 1, false, 529, 0x9006ae0155b8c684ULL, 0, 0, 6886024},
+      {"ba-churn", 3, 2, false, 486, 0xc0badb5ba9a3f3a5ULL, 0, 0, 5428592},
+      {"er", 2, 3, true, 809, 0xc910bc628bf2a17eULL, 2, 14, 2756560},
+      {"ba-churn", 3, 3, true, 540, 0xb5310931e6e6ef70ULL, 0, 2, 2073568},
+  };
+  for (const Pass2Golden& want : goldens) {
+    const DynamicStream stream = golden_stream(want.family, want.seed);
+    TwoPassConfig config = make_config(want.k, 1000 + want.seed);
+    if (want.tight) {
+      config.table_capacity_factor = 0.1;
+      config.table_payload_budget = 1;
+    }
+    TwoPassSpanner spanner(stream.n(), config);
+    const TwoPassResult result = spanner.run(stream);
+    const auto& d = result.diagnostics;
+    const std::string what = std::string(want.family) +
+                             " k=" + std::to_string(want.k) +
+                             " seed=" + std::to_string(want.seed) +
+                             (want.tight ? " tight" : "");
+    EXPECT_EQ(result.spanner.m(), want.edges) << what;
+    EXPECT_EQ(edge_digest(result.spanner, false), want.digest) << what;
+    EXPECT_EQ(d.pass2_tables_undecodable, want.undecodable) << what;
+    EXPECT_EQ(d.pass2_neighbors_unrecovered, want.unrecovered) << what;
+    EXPECT_EQ(result.touched_bytes, want.touched_bytes) << what;
+  }
+}
+
+TEST(TwoPass, Kp12DecodeGoldensPinned) {
+  // The KP12 fleet decodes every instance through the same terminal decode;
+  // pin the instance health count and the weighted sparsifier edges.  The
+  // kv tables are shrunk so unhealthy instances occur and are pinned too.
+  struct Kp12Golden {
+    std::uint64_t seed;
+    std::size_t unhealthy;
+    std::size_t edges;
+    std::uint64_t digest;
+  };
+  const Kp12Golden goldens[] = {{1, 13, 59, 0x5ecc264c4cb8dc34ULL},
+                                {2, 10, 73, 0xf49980abb57997afULL}};
+  for (const Kp12Golden& want : goldens) {
+    const Graph g = erdos_renyi_gnm(48, 220, 300 + want.seed);
+    const DynamicStream stream =
+        DynamicStream::with_churn(g, 96, 400 + want.seed);
+    Kp12Config config;
+    config.k = 2;
+    config.seed = want.seed;
+    config.j_copies = 3;
+    config.z_samples = 4;
+    config.spanner.pass1_budget = 4;
+    config.spanner.table_capacity_factor = 0.1;
+    config.spanner.table_payload_budget = 1;
+    config.ingest_workers = 1;
+    config.decode_workers = 1;
+    Kp12Sparsifier sparsifier(48, config);
+    const Kp12Result result = sparsifier.run(stream);
+    EXPECT_EQ(result.diagnostics.unhealthy_spanners, want.unhealthy)
+        << "seed=" << want.seed;
+    EXPECT_EQ(result.sparsifier.m(), want.edges) << "seed=" << want.seed;
+    EXPECT_EQ(edge_digest(result.sparsifier, true), want.digest)
+        << "seed=" << want.seed;
   }
 }
 
