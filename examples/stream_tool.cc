@@ -10,7 +10,11 @@
 //   stream_tool forest    <n>     [stream.txt]
 //   stream_tool demo                    # self-contained demo run
 //
-// Stream file format: one update per line, "u v delta [weight]".
+// Stream file format: one update per line, "u v delta [weight]", with
+// 0 <= u, v < n; blank lines and lines starting with '#' are skipped.  A
+// malformed line, an out-of-range vertex or trailing garbage is reported as
+// "path:line: reason" and exits with status 2.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +22,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "agm/spanning_forest.h"
 #include "core/additive_spanner.h"
@@ -29,6 +35,22 @@ namespace {
 
 using namespace kw;
 
+// Reports a malformed stream line as "path:line: reason" and exits 2.
+[[noreturn]] void reject_line(const char* path, std::size_t line_no,
+                              const std::string& reason) {
+  std::fprintf(stderr, "%s:%zu: %s\n", path, line_no, reason.c_str());
+  std::exit(2);
+}
+
+// Parses a whole token as a number; false on an empty token, a partial
+// parse ("12abc") or a value out of T's range.
+template <typename T>
+[[nodiscard]] bool parse_token(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 [[nodiscard]] DynamicStream read_stream(Vertex n, const char* path) {
   DynamicStream stream(n);
   std::ifstream in(path);
@@ -37,16 +59,39 @@ using namespace kw;
     std::exit(2);
   }
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
+    ++line_no;
     std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty() || tokens[0][0] == '#') continue;
+    if (tokens.size() < 3) {
+      reject_line(path, line_no, "expected \"u v delta [weight]\"");
+    }
+    if (tokens.size() > 4) {
+      reject_line(path, line_no, "trailing garbage '" + tokens[4] + "'");
+    }
     EdgeUpdate update;
-    int delta = 1;
-    double weight = 1.0;
-    if (!(fields >> update.u >> update.v >> delta)) continue;
-    fields >> weight;  // optional
-    update.delta = delta;
-    update.weight = weight;
+    for (std::size_t i = 0; i < 2; ++i) {
+      Vertex& endpoint = i == 0 ? update.u : update.v;
+      if (!parse_token(tokens[i], &endpoint)) {
+        reject_line(path, line_no, "bad vertex '" + tokens[i] + "'");
+      }
+      if (endpoint >= n) {
+        reject_line(path, line_no,
+                    "vertex " + tokens[i] + " out of range (n = " +
+                        std::to_string(n) + ")");
+      }
+    }
+    if (!parse_token(tokens[2], &update.delta)) {
+      reject_line(path, line_no, "bad delta '" + tokens[2] + "'");
+    }
+    if (tokens.size() == 4 &&
+        (!parse_token(tokens[3], &update.weight) ||
+         !std::isfinite(update.weight))) {
+      reject_line(path, line_no, "bad weight '" + tokens[3] + "'");
+    }
     stream.push(update);
   }
   return stream;

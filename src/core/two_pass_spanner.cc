@@ -898,28 +898,30 @@ void TwoPassSpanner::decode_terminal(std::size_t t) {
   //
   // Reads banks_[t] (const decode) and shared immutable geometry; writes
   // finish_slots_[t] only -- disjoint across terminals, hence lane-safe.
+  // The bank decodes all levels in one deepest-first sweep, which also
+  // yields its touched-bytes count.
   if (!banks_[t]) return;
   const KvTableBank& bank = *banks_[t];
   TerminalDecode& slot = finish_slots_[t];
   std::unordered_set<Vertex> resolved;
   std::unordered_set<Vertex> seen;  // keys observed at any level
-  for (std::size_t j = vertex_levels_; j-- > 0;) {
-    const auto decoded = bank.decode(j);
-    if (!decoded.has_value()) {
-      ++slot.undecodable;
-      continue;
-    }
-    for (const auto& entry : *decoded) {
-      const auto v = static_cast<Vertex>(entry.key);
-      seen.insert(v);
-      if (resolved.contains(v)) continue;
-      const auto support = bank.decode_payload(entry);
-      if (!support.has_value() || support->empty()) continue;
-      const auto w = static_cast<Vertex>(support->front().coord);
-      slot.edges.emplace_back(w, v);
-      resolved.insert(v);
-    }
-  }
+  slot.touched_bytes = bank.decode_levels(
+      [&](std::size_t, const std::optional<std::vector<KvEntry>>& decoded) {
+        if (!decoded.has_value()) {
+          ++slot.undecodable;
+          return;
+        }
+        for (const auto& entry : *decoded) {
+          const auto v = static_cast<Vertex>(entry.key);
+          seen.insert(v);
+          if (resolved.contains(v)) continue;
+          const auto support = bank.decode_payload(entry);
+          if (!support.has_value() || support->empty()) continue;
+          const auto w = static_cast<Vertex>(support->front().coord);
+          slot.edges.emplace_back(w, v);
+          resolved.insert(v);
+        }
+      });
   for (const Vertex v : seen) {
     if (!resolved.contains(v)) ++slot.unrecovered;
   }
@@ -941,10 +943,12 @@ void TwoPassSpanner::complete_finish() {
   // `augmented_` dedup by try_emplace and every recovered edge carries
   // weight 1.0, so the fold is bit-identical to the historical interleaved
   // per-terminal loop regardless of how the decodes were scheduled.
+  std::size_t bank_touched_bytes = 0;
   for (std::size_t t = 0; t < finish_slots_.size(); ++t) {
     const TerminalDecode& slot = finish_slots_[t];
     diagnostics_.pass2_tables_undecodable += slot.undecodable;
     diagnostics_.pass2_neighbors_unrecovered += slot.unrecovered;
+    bank_touched_bytes += slot.touched_bytes;
     for (const auto& [w, v] : slot.edges) {
       add(w, v, 1.0);
       note_augmented({w, v, 1.0});
@@ -976,11 +980,10 @@ void TwoPassSpanner::complete_finish() {
                            edge_levels_ *
                            geo_->page_geometry(1, 0).nominal_bytes();
   }
-  result.touched_bytes = pass1_touched_bytes_;
+  result.touched_bytes = pass1_touched_bytes_ + bank_touched_bytes;
   for (std::size_t t = 0; t < terminals_.size(); ++t) {
     result.nominal_bytes += KvTableBank::nominal_bytes(
         table_config(terminals_[t].level), vertex_levels_);
-    if (banks_[t]) result.touched_bytes += banks_[t]->touched_bytes();
   }
   result_ = std::move(result);
 }

@@ -435,11 +435,13 @@ class TwoPassSpanner final : public StreamProcessor {
 
   // Per-terminal decode output (begin_finish -> decode_terminal ->
   // complete_finish): recovered (w, v) edges in decode order plus the
-  // terminal's failure counts, folded sequentially by complete_finish.
+  // terminal's failure counts and its bank's touched bytes (counted by the
+  // decode sweep), folded sequentially by complete_finish.
   struct TerminalDecode {
     std::vector<std::pair<Vertex, Vertex>> edges;
     std::size_t undecodable = 0;
     std::size_t unrecovered = 0;
+    std::size_t touched_bytes = 0;
   };
   std::vector<TerminalDecode> finish_slots_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/random.h"
@@ -351,125 +352,103 @@ bool KvTableBank::is_zero() const noexcept {
   return true;
 }
 
-std::optional<std::vector<KvEntry>> KvTableBank::decode(
-    std::size_t level) const {
-  if (level >= levels_) {
-    throw std::out_of_range("kv bank level out of range");
+std::size_t KvTableBank::decode_levels(const LevelVisitor& on_level) const {
+  // The blocks store level DIFFS (see the class comment), so level j's cells
+  // are the suffix sums of each entry's rows >= j.  Walking the levels
+  // deepest-first, one running accumulator per entry yields every level's
+  // values with each stored row added exactly once.  Ordering the entries
+  // by depth (rows, descending) makes the entries reaching level j -- rows
+  // > j; the rest are zero there -- a prefix of the order that only grows
+  // as j falls, so the accumulator, the per-level peel copy and the
+  // liveness count all touch that prefix alone.
+  const std::size_t stride = cell_stride_;
+  const std::size_t count = entries_.size();
+  std::vector<std::uint32_t> order(count);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return entries_[a].rows > entries_[b].rows;
+                   });
+  std::vector<std::uint32_t> pos_of(count);
+  for (std::size_t p = 0; p < count; ++p) {
+    pos_of[order[p]] = static_cast<std::uint32_t>(p);
   }
-  // Same peeled-overlay scheme as LinearKeyValueSketch::decode.  The blocks
-  // store level DIFFS, so the level's cells are materialized first as the
-  // suffix sum of each entry's rows >= level (an entry whose block does not
-  // reach this level is zero here); the peeling below then reads the
-  // materialized values, identical to the historical per-level storage.
-  struct OverlayCell {
-    OneSparseCell key_part;
-    std::vector<OneSparseCell> payload;
-  };
-  const std::size_t payload_cells = cell_stride_ - 1;
-  std::unordered_map<std::uint64_t, OverlayCell> peeled;
-  peeled.reserve(entries_.size());
+  std::vector<OneSparseCell> acc(count * stride);  // by sweep position
+  std::vector<OneSparseCell> work;
+  std::size_t live_levels = 0;
+  std::size_t reach = 0;
+  for (std::size_t j = levels_; j-- > 0;) {
+    while (reach < count && entries_[order[reach]].rows > j) ++reach;
+    for (std::size_t p = 0; p < reach; ++p) {
+      const OneSparseCell* row = cells_of(entries_[order[p]]) + j * stride;
+      OneSparseCell* sum = acc.data() + p * stride;
+      for (std::size_t c = 0; c < stride; ++c) sum[c].merge(row[c], 1);
+      if (std::any_of(sum, sum + stride,
+                      [](const OneSparseCell& c) { return !c.is_zero(); })) {
+        ++live_levels;
+      }
+    }
+    work.assign(acc.begin(),
+                acc.begin() + static_cast<std::ptrdiff_t>(reach * stride));
+    on_level(j, peel_level(work, pos_of));
+  }
+  return live_levels * stride * sizeof(OneSparseCell) +
+         sizeof(LinearKvConfig);
+}
+
+std::optional<std::vector<KvEntry>> KvTableBank::peel_level(
+    std::vector<OneSparseCell>& work,
+    const std::vector<std::uint32_t>& pos_of) const {
+  // Worklist peeling: every reaching cell is checked once up front, and a
+  // peeled key only changes its `tables` slots, so only those are
+  // re-checked.  Subtracting in place from the level's copy is the stored -
+  // overlay of LinearKeyValueSketch::decode, term for term (canonical field
+  // subtraction and wrapping integer adds), so the decoded maps agree.
+  const std::size_t stride = cell_stride_;
+  const std::size_t payload_cells = stride - 1;
+  const std::size_t reach = work.size() / stride;
+  const std::size_t tables = config().tables;
   std::vector<KvEntry> found;
-
-  std::vector<OneSparseCell> mat(entries_.size() * cell_stride_);
-  std::vector<char> reaches(entries_.size(), 0);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const std::size_t jcap = e.rows;
-    if (jcap <= level) continue;
-    reaches[i] = 1;
-    OneSparseCell* out = mat.data() + i * cell_stride_;
-    for (std::size_t j = level; j < jcap; ++j) {
-      const OneSparseCell* row = cells_of(e) + j * cell_stride_;
-      for (std::size_t c = 0; c < cell_stride_; ++c) out[c].merge(row[c], 1);
+  std::vector<std::uint32_t> worklist(reach);
+  std::iota(worklist.rbegin(), worklist.rend(), 0u);
+  while (!worklist.empty()) {
+    const OneSparseCell* cell = work.data() + worklist.back() * stride;
+    worklist.pop_back();
+    Recovered rec;
+    if (classify_cell(cell[0], config().max_key, geo_->key_basis(), &rec) !=
+        CellState::kOneSparse) {
+      continue;
     }
-  }
-  const auto stored_cells = [&](std::uint64_t slot_id) -> const OneSparseCell* {
-    const Entry* e = find_entry(slot_id);
-    if (e == nullptr) return nullptr;
-    const std::size_t i = static_cast<std::size_t>(e - entries_.data());
-    if (reaches[i] == 0) return nullptr;
-    return mat.data() + i * cell_stride_;
-  };
-  const auto overlay_at = [&](std::uint64_t slot_id) -> const OverlayCell* {
-    const auto it = peeled.find(slot_id);
-    return it == peeled.end() ? nullptr : &it->second;
-  };
-  const auto effective_key = [&](std::uint64_t slot_id) -> OneSparseCell {
-    OneSparseCell key;
-    if (const OneSparseCell* stored = stored_cells(slot_id)) key = stored[0];
-    if (const OverlayCell* sub = overlay_at(slot_id)) {
-      key.merge(sub->key_part, -1);
-    }
-    return key;
-  };
-  const auto for_each_candidate = [&](const auto& fn) {
-    for (const Entry& e : entries_) {
-      if (!fn(e.slot_id)) return false;
-    }
-    for (const auto& [slot_id, cell] : peeled) {
-      (void)cell;
-      if (find_entry(slot_id) == nullptr && !fn(slot_id)) return false;
-    }
-    return true;
-  };
-
-  while (true) {
-    std::optional<KvEntry> next;
-    for_each_candidate([&](std::uint64_t slot_id) {
-      const OneSparseCell key = effective_key(slot_id);
-      Recovered rec;
-      if (key.count != 0 &&
-          classify_cell(key, config().max_key, geo_->key_basis(), &rec) ==
-              CellState::kOneSparse) {
-        KvEntry entry;
-        entry.key = rec.coord;
-        entry.key_count = rec.value;
-        entry.payload.assign(payload_cells, OneSparseCell{});
-        if (const OneSparseCell* stored = stored_cells(slot_id)) {
-          for (std::size_t i = 0; i < payload_cells; ++i) {
-            entry.payload[i] = stored[1 + i];
-          }
-        }
-        if (const OverlayCell* sub = overlay_at(slot_id)) {
-          for (std::size_t i = 0; i < payload_cells; ++i) {
-            entry.payload[i].merge(sub->payload[i], -1);
-          }
-        }
-        next = std::move(entry);
-        return false;
-      }
-      return true;
-    });
-    if (!next.has_value()) break;
-
-    for (std::size_t t = 0; t < config().tables; ++t) {
-      const std::uint64_t s = slot(t, next->key);
-      auto it = peeled.find(s);
-      if (it == peeled.end()) {
-        it = peeled.emplace(s, OverlayCell{}).first;
-        it->second.payload.assign(payload_cells, OneSparseCell{});
-      }
-      it->second.key_part.add(next->key, next->key_count, geo_->key_basis());
+    KvEntry entry;
+    entry.key = rec.coord;
+    entry.key_count = rec.value;
+    entry.payload.assign(cell + 1, cell + stride);
+    OneSparseCell key_part;
+    key_part.add(entry.key, entry.key_count, geo_->key_basis());
+    for (std::size_t t = 0; t < tables; ++t) {
+      // A key live at this level was written at a row >= this level in
+      // every table, so each of its slots reaches here.  A slot that does
+      // not can only come from a fingerprint false positive; its residual
+      // would be nonzero, so the level is undecodable.
+      const Entry* e = find_entry(slot(t, entry.key));
+      if (e == nullptr) return std::nullopt;
+      const std::uint32_t q =
+          pos_of[static_cast<std::size_t>(e - entries_.data())];
+      if (q >= reach) return std::nullopt;
+      OneSparseCell* dst = work.data() + std::size_t{q} * stride;
+      dst[0].merge(key_part, -1);
       for (std::size_t i = 0; i < payload_cells; ++i) {
-        it->second.payload[i].merge(next->payload[i], 1);
+        dst[1 + i].merge(entry.payload[i], -1);
       }
+      worklist.push_back(q);
     }
-    found.push_back(std::move(*next));
+    found.push_back(std::move(entry));
   }
-
-  const auto effectively_zero = [&](std::uint64_t slot_id) {
-    if (!effective_key(slot_id).is_zero()) return false;
-    const OneSparseCell* stored = stored_cells(slot_id);
-    const OverlayCell* sub = overlay_at(slot_id);
-    for (std::size_t i = 0; i < payload_cells; ++i) {
-      OneSparseCell c;
-      if (stored != nullptr) c = stored[1 + i];
-      if (sub != nullptr) c.merge(sub->payload[i], -1);
-      if (!c.is_zero()) return false;
-    }
-    return true;
-  };
-  if (!for_each_candidate(effectively_zero)) return std::nullopt;
+  // Residual check: every cell (key AND payload) must be zero, else the
+  // table was overloaded.
+  for (const OneSparseCell& c : work) {
+    if (!c.is_zero()) return std::nullopt;
+  }
 
   std::sort(found.begin(), found.end(),
             [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
@@ -507,32 +486,6 @@ std::size_t KvTableBank::nominal_bytes(const LinearKvConfig& config,
   return levels *
          (config.tables * cells_per_table * cell_bytes +
           sizeof(LinearKvConfig));
-}
-
-std::size_t KvTableBank::touched_bytes() const noexcept {
-  // Count LIVE (slot, level) cells only, matching the historical per-level
-  // erase-at-zero maps: a level whose state cancelled to zero costs nothing,
-  // so per-update churn and an aggregated batch report the same footprint.
-  // Liveness is a property of the MATERIALIZED level (the suffix sum of the
-  // stored diff rows), so the walk runs deepest-first, folding rows into a
-  // running accumulator and testing that.
-  std::size_t live_levels = 0;
-  std::vector<OneSparseCell> acc(cell_stride_);
-  for (const Entry& e : entries_) {
-    const std::size_t jcap = e.rows;
-    std::fill(acc.begin(), acc.end(), OneSparseCell{});
-    for (std::size_t j = jcap; j-- > 0;) {
-      const OneSparseCell* cells = cells_of(e) + j * cell_stride_;
-      bool live = false;
-      for (std::size_t c = 0; c < cell_stride_; ++c) {
-        acc[c].merge(cells[c], 1);
-        live = live || !acc[c].is_zero();
-      }
-      if (live) ++live_levels;
-    }
-  }
-  return live_levels * cell_stride_ * sizeof(OneSparseCell) +
-         sizeof(LinearKvConfig);
 }
 
 // ---- LinearKeyValueSketch -----------------------------------------------

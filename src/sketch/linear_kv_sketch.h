@@ -21,6 +21,7 @@
 #define KW_SKETCH_LINEAR_KV_SKETCH_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -185,7 +186,8 @@ class KvBankGeometry {
 //
 // LEVEL-DIFF REPRESENTATION: an update to levels 0..jmax physically writes
 // its terms ONLY at block row jmax; the value of level j is materialized as
-// the suffix sum over stored rows j' >= j (decode / touched_bytes do this).
+// the suffix sum over stored rows j' >= j (decode_levels keeps one running
+// sum per entry, so each stored row is added exactly once).
 // The two are exactly interchangeable because every cell component is
 // additive (field adds / wrapping integer adds commute and associate), so
 // sum-of-diffs == diff-of-sums -- linearity again, applied across the level
@@ -221,9 +223,18 @@ class KvTableBank {
   // this += sign * other (same configuration + levels required).
   void merge(const KvTableBank& other, std::int64_t sign = 1);
 
-  // Per-level decode, same contract as LinearKeyValueSketch::decode().
-  [[nodiscard]] std::optional<std::vector<KvEntry>> decode(
-      std::size_t level) const;
+  // Decodes EVERY level in one deepest-first sweep -- the order Algorithm 2
+  // reads H^u_j in, sparsest level first.  on_level(j, entries) runs for
+  // j = levels() - 1 down to 0 with level j's decode under the contract of
+  // LinearKeyValueSketch::decode(): the key -> (count, payload) map sorted
+  // by key, or nullopt when the level is overloaded.  Returns the bank's
+  // touched bytes, counted in the same sweep: LIVE (slot, level) cells only,
+  // matching the historical per-level erase-at-zero maps, so a level whose
+  // state cancelled to zero costs nothing.  Scratch is local to the call, so
+  // distinct banks decode concurrently.
+  using LevelVisitor = std::function<void(
+      std::size_t level, const std::optional<std::vector<KvEntry>>& entries)>;
+  std::size_t decode_levels(const LevelVisitor& on_level) const;
   [[nodiscard]] std::optional<std::vector<Recovered>> decode_payload(
       const KvEntry& entry) const;
 
@@ -240,7 +251,6 @@ class KvTableBank {
   // never-touched terminal's space claim costs no construction.
   [[nodiscard]] static std::size_t nominal_bytes(const LinearKvConfig& config,
                                                  std::size_t levels) noexcept;
-  [[nodiscard]] std::size_t touched_bytes() const noexcept;
 
   // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
   // State only; the owner re-derives the config from its own seed chain.
@@ -283,6 +293,12 @@ class KvTableBank {
   [[nodiscard]] const OneSparseCell* cells_of(const Entry& e) const {
     return arena_.data(e.block);
   }
+  // Peels one level in place: `work` holds the materialized cells of the
+  // entries reaching the level, in sweep order (pos_of maps an entry index
+  // to its position there).
+  [[nodiscard]] std::optional<std::vector<KvEntry>> peel_level(
+      std::vector<OneSparseCell>& work,
+      const std::vector<std::uint32_t>& pos_of) const;
 
   std::shared_ptr<const KvBankGeometry> geo_;
   std::size_t cls_ = 0;

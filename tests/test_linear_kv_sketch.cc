@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
@@ -231,6 +233,184 @@ TEST_P(KvLoad, DecodableAtCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(CapacitySweep, KvLoad,
                          ::testing::Values(4, 16, 64, 256));
+
+// ---- KvTableBank vs an independent per-level reference -------------------
+//
+// A KvTableBank stores level diffs and decodes every level in one
+// deepest-first sweep; LinearKeyValueSketch keeps one plain table per level
+// and decodes it on its own.  Fed the same updates -- level j of the bank
+// sees exactly the updates with jmax >= j -- and built from the same seed
+// chain (so they share key basis, payload geometry and table hashes), the
+// two must decode identical KvEntry lists and fail on the same overloaded
+// levels.  The touched-bytes count the sweep returns must equal the
+// reference's live cells summed over levels.
+
+struct BankOp {
+  std::uint64_t key;
+  std::int64_t key_delta;
+  std::uint64_t coord;
+  std::int64_t payload_delta;
+  std::size_t jmax;
+};
+
+constexpr std::size_t kDiffLevels = 6;
+
+[[nodiscard]] LinearKvConfig diff_config(std::uint64_t seed) {
+  LinearKvConfig c;
+  c.max_key = 1 << 10;
+  c.max_payload_coord = 1 << 8;
+  c.capacity = 8;
+  c.tables = 3;
+  c.load_factor = 0.5;
+  c.payload_budget = 2;
+  c.payload_rows = 3;
+  c.seed = seed;
+  return c;
+}
+
+// Insertions over a key pool with geometric level caps, deletions of some
+// earlier updates, and a few keys cancelled back to exactly zero.  Deeper
+// levels hold fewer keys, so the shallow levels overload the tables and
+// the deep ones decode.
+[[nodiscard]] std::vector<BankOp> random_bank_ops(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BankOp> ops;
+  std::vector<std::uint64_t> pool(60);
+  for (auto& key : pool) key = rng.next_below(1 << 10);
+  for (int i = 0; i < 200; ++i) {
+    BankOp op;
+    op.key = pool[rng.next_below(pool.size())];
+    op.key_delta = static_cast<std::int64_t>(1 + rng.next_below(3));
+    op.coord = rng.next_below(1 << 8);
+    op.payload_delta = rng.next_below(2) == 0 ? 1 : -2;
+    op.jmax = 0;
+    while (op.jmax + 1 < kDiffLevels && rng.next_below(3) != 0) ++op.jmax;
+    ops.push_back(op);
+  }
+  const std::size_t inserted = ops.size();
+  for (std::size_t i = 0; i < inserted; i += 4) {
+    BankOp del = ops[i];
+    del.key_delta = -del.key_delta;
+    del.payload_delta = -del.payload_delta;
+    ops.push_back(del);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t key = rng.next_below(1 << 10);
+    const std::size_t jmax = rng.next_below(kDiffLevels);
+    ops.push_back({key, 2, 7, 1, jmax});
+    ops.push_back({key, -2, 7, -1, jmax});
+  }
+  return ops;
+}
+
+[[nodiscard]] bool same_entries(const std::vector<KvEntry>& a,
+                                const std::vector<KvEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].key != b[i].key || a[i].key_count != b[i].key_count ||
+        a[i].payload.size() != b[i].payload.size()) {
+      return false;
+    }
+    for (std::size_t c = 0; c < a[i].payload.size(); ++c) {
+      const OneSparseCell& x = a[i].payload[c];
+      const OneSparseCell& y = b[i].payload[c];
+      if (x.count != y.count || x.coord_sum != y.coord_sum ||
+          x.fp1 != y.fp1 || x.fp2 != y.fp2) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Decodes `bank` and checks every level against per-level references fed
+// `ops`; returns {overloaded levels, nonempty decoded levels}.
+std::pair<std::size_t, std::size_t> expect_matches_reference(
+    const KvTableBank& bank, const LinearKvConfig& config,
+    const std::vector<BankOp>& ops) {
+  std::vector<LinearKeyValueSketch> refs(kDiffLevels,
+                                         LinearKeyValueSketch(config));
+  for (const BankOp& op : ops) {
+    for (std::size_t j = 0; j <= op.jmax; ++j) {
+      refs[j].update(op.key, op.key_delta, op.coord, op.payload_delta);
+    }
+  }
+  std::vector<std::size_t> visited;
+  std::size_t overloaded = 0;
+  std::size_t nonempty = 0;
+  const std::size_t touched = bank.decode_levels(
+      [&](std::size_t j, const std::optional<std::vector<KvEntry>>& got) {
+        visited.push_back(j);
+        const auto want = refs[j].decode();
+        ASSERT_EQ(got.has_value(), want.has_value()) << "level " << j;
+        if (!got.has_value()) {
+          ++overloaded;
+          return;
+        }
+        if (!got->empty()) ++nonempty;
+        EXPECT_TRUE(same_entries(*got, *want)) << "level " << j;
+      });
+  std::vector<std::size_t> deepest_first(kDiffLevels);
+  for (std::size_t j = 0; j < kDiffLevels; ++j) {
+    deepest_first[j] = kDiffLevels - 1 - j;
+  }
+  EXPECT_EQ(visited, deepest_first);
+  std::size_t ref_touched = 0;
+  for (const auto& ref : refs) {
+    ref_touched += ref.touched_bytes() - sizeof(LinearKvConfig);
+  }
+  EXPECT_EQ(touched, ref_touched + sizeof(LinearKvConfig));
+  return {overloaded, nonempty};
+}
+
+TEST(KvTableBank, SweepDecodeMatchesPerLevelReference) {
+  std::size_t overloaded = 0;
+  std::size_t nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const LinearKvConfig config = diff_config(100 + seed);
+    const auto ops = random_bank_ops(seed);
+    // Private and fleet (staged scatter tables) geometries alike.
+    for (const bool staged : {false, true}) {
+      KvTableBank bank(KvBankGeometry::make({config}, staged), 0, kDiffLevels);
+      for (const BankOp& op : ops) {
+        bank.update(op.key, op.key_delta, op.coord, op.payload_delta,
+                    op.jmax);
+      }
+      const auto [o, e] = expect_matches_reference(bank, config, ops);
+      overloaded += o;
+      nonempty += e;
+    }
+  }
+  // The sweep must have exercised both outcomes.
+  EXPECT_GT(overloaded, 0u);
+  EXPECT_GT(nonempty, 0u);
+}
+
+TEST(KvTableBank, MergedBankSweepMatchesReference) {
+  // Shards built separately and merged (one subtracted back out) decode
+  // exactly like the reference fed the net update set.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const LinearKvConfig config = diff_config(200 + seed);
+    const auto ops = random_bank_ops(50 + seed);
+    const auto extra = random_bank_ops(90 + seed);
+    KvTableBank merged(config, kDiffLevels);
+    KvTableBank second(config, kDiffLevels);
+    KvTableBank removed(config, kDiffLevels);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const BankOp& op = ops[i];
+      KvTableBank& into = i % 2 == 0 ? merged : second;
+      into.update(op.key, op.key_delta, op.coord, op.payload_delta, op.jmax);
+    }
+    for (const BankOp& op : extra) {
+      removed.update(op.key, op.key_delta, op.coord, op.payload_delta,
+                     op.jmax);
+    }
+    merged.merge(second);
+    merged.merge(removed);
+    merged.merge(removed, -1);
+    (void)expect_matches_reference(merged, config, ops);
+  }
+}
 
 }  // namespace
 }  // namespace kw
