@@ -41,8 +41,9 @@ void aggregate_batch_entries(std::vector<SpannerBatchEntry>& entries,
       e.slot = id;
       ucoords.push_back(e.coord);
       entries[unique_count++] = e;  // in-place compaction: id <= i
-    } else {
-      entries[slot_ids[pos]].delta += e.delta;
+    } else if (__builtin_add_overflow(entries[slot_ids[pos]].delta, e.delta,
+                                      &entries[slot_ids[pos]].delta)) {
+      throw std::overflow_error("spanner batch: edge multiplicity overflow");
     }
   }
   entries.resize(unique_count);
@@ -78,6 +79,23 @@ namespace {
   return c;
 }
 
+// Y_j ladder length: half-octave rates 2^{-j/2} (default) take twice the
+// paper's 2^{-j} levels.
+[[nodiscard]] std::size_t y_level_count(Vertex n, const TwoPassConfig& cfg) {
+  const std::size_t log_n = ceil_log2(std::max<Vertex>(n, 2));
+  return cfg.y_half_octave ? 2 * log_n + 1 : log_n + 1;
+}
+
+// Rejects a vertex count whose Y_j ladder outgrows a pass-2 bank's level
+// mask, before any O(n) structure is built.
+[[nodiscard]] Vertex checked_vertex_count(Vertex n, const TwoPassConfig& cfg) {
+  if (y_level_count(n, cfg) > KvTableBank::kMaxLevels) {
+    throw std::invalid_argument(
+        "spanner n too large: pass-2 banks support at most 64 Y_j levels");
+  }
+  return n;
+}
+
 [[nodiscard]] SparseRecoveryConfig pass1_page_config(Vertex n,
                                                      const TwoPassConfig& cfg,
                                                      unsigned r,
@@ -99,11 +117,11 @@ namespace {
 }  // namespace
 
 SpannerGeometry::SpannerGeometry(Vertex n_in, const TwoPassConfig& config_in)
-    : n(n_in),
+    : n(checked_vertex_count(n_in, config_in)),
       config(config_in),
       hierarchy(ClusterHierarchy::sample(n_in, config_in.k, config_in.seed)),
       edge_levels(2 * ceil_log2(std::max<Vertex>(n_in, 2)) + 1),
-      vertex_levels(2 * ceil_log2(std::max<Vertex>(n_in, 2)) + 1),
+      vertex_levels(y_level_count(n_in, config_in)),
       edge_level_hash(8, derive_seed(config_in.seed, 0xe1)),
       y_hash(8, derive_seed(config_in.seed, 0xe2)) {
   if (n < 2) throw std::invalid_argument("spanner needs n >= 2");
@@ -111,9 +129,6 @@ SpannerGeometry::SpannerGeometry(Vertex n_in, const TwoPassConfig& config_in)
   // Y_j at half-octave rates 2^{-j/2} (default): finer steps than the
   // paper's 2^{-j} sharpen the guarantee that some level isolates <= B
   // neighbors per key.  bench_ablation compares the two ladders.
-  if (!config.y_half_octave) {
-    vertex_levels = ceil_log2(std::max<Vertex>(n, 2)) + 1;
-  }
   const double step = config.y_half_octave ? 0.5 : 1.0;
   y_thresholds.resize(vertex_levels);
   for (std::size_t j = 0; j < vertex_levels; ++j) {

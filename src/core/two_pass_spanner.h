@@ -124,7 +124,8 @@ struct SpannerBatchEntry {
 // survivors are KEPT (a zero-delta entry still materializes the same
 // pass-1 sketches the per-update path would, so state stays bit-identical).
 // Afterwards entries.size() == ucoords.size() and entry i IS unique
-// coordinate slot i.  Shared by TwoPassSpanner::absorb and
+// coordinate slot i.  A summed delta that overflows its int32 throws
+// std::overflow_error.  Shared by TwoPassSpanner::absorb and
 // Kp12Sparsifier::absorb.
 void aggregate_batch_entries(std::vector<SpannerBatchEntry>& entries,
                              std::vector<std::uint64_t>& ucoords,

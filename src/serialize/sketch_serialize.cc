@@ -7,6 +7,7 @@
 // destination rather than loads -- hash coefficients and fingerprint power
 // tables are rebuilt from seeds by the constructors and never serialized.
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "agm/neighborhood_sketch.h"
@@ -135,18 +136,26 @@ void KvTableBank::serialize_state(ser::Writer& w) const {
   w.u64(entries_.size());
   w.u64(levels_);
   w.u64(cell_stride_);
+  const OneSparseCell zero;
   for (const std::uint32_t i : order) {
     const Entry& e = entries_[i];
+    const auto depth = static_cast<std::size_t>(std::bit_width(e.mask));
     w.u64(e.slot_id);
-    w.u64(e.rows);  // touched levels 0..jcap
+    w.u64(depth);  // touched levels 0..jcap
     // Rows are the in-memory LEVEL DIFFS (level j's value is the suffix sum
     // of rows >= j); readers get the same representation back, so merge /
-    // decode semantics round-trip unchanged.  The arena block layout is a
-    // memory detail: the wire carries the same dense row stream the
-    // historical per-entry vectors produced.
-    const OneSparseCell* cells = cells_of(e);
-    const std::size_t count = std::size_t{e.rows} * cell_stride_;
-    for (std::size_t c = 0; c < count; ++c) ser::put_cell(w, cells[c]);
+    // decode semantics round-trip unchanged.  The packed block is a memory
+    // detail: the wire carries the dense rows 0..depth-1, a level without a
+    // stored row as zeros, exactly the stream the historical per-entry
+    // vectors produced.
+    const OneSparseCell* row = cells_of(e);
+    for (std::size_t j = 0; j < depth; ++j) {
+      const bool stored = (e.mask >> j & 1) != 0;
+      for (std::size_t c = 0; c < cell_stride_; ++c) {
+        ser::put_cell(w, stored ? row[c] : zero);
+      }
+      if (stored) row += cell_stride_;
+    }
   }
   w.end_section();
 }
@@ -161,6 +170,7 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
   ht_index_.clear();
   arena_.reset();
   entries_.reserve(count);
+  std::vector<OneSparseCell> rows;  // one entry's dense wire rows
   std::uint64_t prev_slot = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     Entry e;
@@ -174,12 +184,27 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
     if (touched_levels == 0 || touched_levels > levels_) {
       throw ser::SerializeError("KvTableBank touched level count invalid");
     }
-    e.rows = static_cast<std::uint32_t>(touched_levels);
-    e.cap = e.rows;  // exact-size block: a bulk load never regrows
-    const std::size_t cells = std::size_t{e.rows} * cell_stride_;
-    e.block = arena_.allocate(cells);
+    // Keep the nonzero rows plus the deepest one (it carries the depth),
+    // so reserializing yields the same dense rows byte for byte.
+    rows.resize(touched_levels * cell_stride_);
+    for (OneSparseCell& c : rows) c = ser::get_cell(r);
+    const auto row_at = [&](std::size_t j) {
+      return rows.data() + j * cell_stride_;
+    };
+    for (std::size_t j = 0; j < touched_levels; ++j) {
+      if (j + 1 == touched_levels ||
+          std::any_of(row_at(j), row_at(j + 1),
+                      [](const OneSparseCell& c) { return !c.is_zero(); })) {
+        e.mask |= std::uint64_t{1} << j;
+      }
+    }
+    e.cap = static_cast<std::uint32_t>(std::popcount(e.mask));
+    e.block = arena_.allocate(std::size_t{e.cap} * cell_stride_);
     OneSparseCell* dst = arena_.data(e.block);
-    for (std::size_t c = 0; c < cells; ++c) dst[c] = ser::get_cell(r);
+    for (std::uint64_t m = e.mask; m != 0; m &= m - 1) {
+      const auto j = static_cast<std::size_t>(std::countr_zero(m));
+      dst = std::copy(row_at(j), row_at(j + 1), dst);
+    }
     entries_.push_back(e);
   }
   // One rebuild at the final size (grow_table sizes off entries_.size()).

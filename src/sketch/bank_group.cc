@@ -342,7 +342,11 @@ void BankGroup::ingest_staged(bool pairs) {
           StagedUpdate& f = staged_tmp_[slot_ids_[pos]];
           if (f.lo == u.lo && f.hi == u.hi) {
             StagedWeight& w = weights_tmp_[slot_ids_[pos]];
-            w.delta += weights_[idx].delta;
+            if (__builtin_add_overflow(w.delta, weights_[idx].delta,
+                                       &w.delta)) {
+              throw std::overflow_error(
+                  "sketch bank: update multiplicity overflow");
+            }
             w.wsum += weights_[idx].wsum;
             break;
           }

@@ -117,7 +117,8 @@ class BankGroup {
   // coordinates, and the scatter is grouped by endpoint vertex.  Uses
   // internal scratch buffers -- not safe for concurrent calls on one group
   // (each engine shard ingests into its own clone).  Zero-delta entries are
-  // skipped.
+  // skipped.  Duplicate updates whose summed delta overflows int64 throw
+  // std::overflow_error.
   void ingest_pairs(std::span<const BankPairUpdate> batch);
 
   // Fused batched single-vertex ingest into EVERY group; same staging, hash

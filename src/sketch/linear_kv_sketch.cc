@@ -15,6 +15,16 @@ namespace {
 // Bucket-array seed for a table's first live insert (see update()).
 constexpr std::size_t kFirstTouchReserve = 32;
 
+// Index of level j's row in an entry's packed block (see KvTableBank::Entry).
+[[nodiscard]] std::size_t row_index(std::uint64_t mask, std::size_t j) {
+  return static_cast<std::size_t>(
+      std::popcount(mask & ((std::uint64_t{1} << j) - 1)));
+}
+
+[[nodiscard]] std::size_t depth_of(std::uint64_t mask) {
+  return static_cast<std::size_t>(std::bit_width(mask));
+}
+
 [[nodiscard]] SparseRecoveryConfig payload_config(const LinearKvConfig& c) {
   SparseRecoveryConfig pc;
   pc.max_coord = c.max_payload_coord;
@@ -123,6 +133,9 @@ KvTableBank::KvTableBank(std::shared_ptr<const KvBankGeometry> geometry,
     throw std::invalid_argument("bank needs a geometry covering its class");
   }
   if (levels == 0) throw std::invalid_argument("bank needs levels >= 1");
+  if (levels > kMaxLevels) {
+    throw std::invalid_argument("bank supports at most 64 levels");
+  }
   cells_per_table_ = geo_->cells_per_table(cls_);
   cell_stride_ = geo_->cell_stride();
 }
@@ -171,26 +184,36 @@ KvTableBank::Entry& KvTableBank::entry_at(std::uint64_t slot_id) {
   return entries_.back();
 }
 
-void KvTableBank::ensure_rows(Entry& entry, std::uint32_t rows) {
-  if (entry.rows >= rows) return;
-  if (rows > entry.cap) {
-    const std::uint32_t cap =
-        std::max(std::bit_ceil(rows), entry.cap * 2);
-    const CellArena::Handle grown =
-        arena_.allocate(std::size_t{cap} * cell_stride_);
-    if (entry.rows != 0) {
-      const std::size_t old_cells = std::size_t{entry.rows} * cell_stride_;
-      const OneSparseCell* src = arena_.data(entry.block);
-      std::copy(src, src + old_cells, arena_.data(grown));
+OneSparseCell* KvTableBank::row_for_write(Entry& entry, std::size_t j) {
+  const std::size_t stride = cell_stride_;
+  const std::size_t index = row_index(entry.mask, j);
+  const std::uint64_t bit = std::uint64_t{1} << j;
+  if ((entry.mask & bit) == 0) {
+    // Insert a zeroed row at `index`, keeping the block in level order.
+    const auto rows = static_cast<std::size_t>(std::popcount(entry.mask));
+    if (rows == entry.cap) {
+      const std::uint32_t cap = entry.cap == 0 ? 1 : entry.cap * 2;
+      const CellArena::Handle grown =
+          arena_.allocate(std::size_t{cap} * stride);  // zero-filled
+      if (rows != 0) {
+        const OneSparseCell* src = arena_.data(entry.block);
+        OneSparseCell* dst = arena_.data(grown);
+        std::copy(src, src + index * stride, dst);
+        std::copy(src + index * stride, src + rows * stride,
+                  dst + (index + 1) * stride);
+        arena_.free(entry.block, std::size_t{entry.cap} * stride);
+      }
+      entry.block = grown;
+      entry.cap = cap;
+    } else {
+      OneSparseCell* cells = arena_.data(entry.block);
+      std::copy_backward(cells + index * stride, cells + rows * stride,
+                         cells + (rows + 1) * stride);
+      std::fill_n(cells + index * stride, stride, OneSparseCell{});
     }
-    if (entry.cap != 0) {
-      arena_.free(entry.block, std::size_t{entry.cap} * cell_stride_);
-    }
-    entry.block = grown;
-    entry.cap = cap;
+    entry.mask |= bit;
   }
-  // rows..cap-1 is still zero (see Entry::cap), so deepening is free.
-  entry.rows = rows;
+  return arena_.data(entry.block) + index * stride;
 }
 
 const KvTableBank::Entry* KvTableBank::find_entry(
@@ -273,11 +296,8 @@ void KvTableBank::update(std::uint64_t key, std::int64_t key_delta,
   }
   // Diff representation: the whole level prefix 0..jmax is recorded by one
   // cell-row write at jmax (levels materialize as suffix sums).
-  const std::uint32_t want_rows = static_cast<std::uint32_t>(jmax + 1);
   for (std::size_t t = 0; t < config.tables; ++t) {
-    Entry& entry = entry_at(slot(t, key));
-    ensure_rows(entry, want_rows);
-    OneSparseCell* cells = arena_.data(entry.block) + jmax * cell_stride_;
+    OneSparseCell* cells = row_for_write(entry_at(slot(t, key)), jmax);
     if (key_delta != 0) {
       cells[0].add_term(key, key_delta, kt1, kt2);
     }
@@ -308,11 +328,9 @@ void KvTableBank::update_staged(std::uint64_t key, std::int64_t key_delta,
   const std::uint32_t* pcell = g.pay_cells(payload_coord);
   const std::size_t payload_rows = g.payload_rows();
   const std::size_t tables = g.config(cls_).tables;
-  const std::uint32_t want_rows = static_cast<std::uint32_t>(jmax + 1);
   for (std::size_t t = 0; t < tables; ++t) {
-    Entry& entry = entry_at(t * cells_per_table_ + buckets[t]);
-    ensure_rows(entry, want_rows);
-    OneSparseCell* cells = arena_.data(entry.block) + jmax * cell_stride_;
+    OneSparseCell* cells =
+        row_for_write(entry_at(t * cells_per_table_ + buckets[t]), jmax);
     if (key_delta != 0) {
       cells[0].add_term(key, key_delta, kt1, kt2);
     }
@@ -331,20 +349,23 @@ void KvTableBank::merge(const KvTableBank& other, std::int64_t sign) {
       other.config().tables != config().tables || other.levels_ != levels_) {
     throw std::invalid_argument("merging incompatible kv banks");
   }
+  const std::size_t stride = cell_stride_;
   for (const Entry& theirs : other.entries_) {
     Entry& mine = entry_at(theirs.slot_id);
-    ensure_rows(mine, theirs.rows);
-    const std::size_t count = std::size_t{theirs.rows} * cell_stride_;
     const OneSparseCell* src = other.arena_.data(theirs.block);
-    OneSparseCell* dst = arena_.data(mine.block);
-    for (std::size_t c = 0; c < count; ++c) dst[c].merge(src[c], sign);
+    for (std::uint64_t m = theirs.mask; m != 0; m &= m - 1, src += stride) {
+      OneSparseCell* dst = row_for_write(
+          mine, static_cast<std::size_t>(std::countr_zero(m)));
+      for (std::size_t c = 0; c < stride; ++c) dst[c].merge(src[c], sign);
+    }
   }
 }
 
 bool KvTableBank::is_zero() const noexcept {
   for (const Entry& e : entries_) {
     const OneSparseCell* cells = cells_of(e);
-    const std::size_t count = std::size_t{e.rows} * cell_stride_;
+    const std::size_t count =
+        static_cast<std::size_t>(std::popcount(e.mask)) * cell_stride_;
     for (std::size_t c = 0; c < count; ++c) {
       if (!cells[c].is_zero()) return false;
     }
@@ -357,40 +378,58 @@ std::size_t KvTableBank::decode_levels(const LevelVisitor& on_level) const {
   // are the suffix sums of each entry's rows >= j.  Walking the levels
   // deepest-first, one running accumulator per entry yields every level's
   // values with each stored row added exactly once.  Ordering the entries
-  // by depth (rows, descending) makes the entries reaching level j -- rows
-  // > j; the rest are zero there -- a prefix of the order that only grows
-  // as j falls, so the accumulator, the per-level peel copy and the
-  // liveness count all touch that prefix alone.
+  // by depth (descending) makes the entries reaching level j -- depth > j;
+  // the rest are zero there -- a prefix of the order that only grows as j
+  // falls, so the accumulator, the per-level peel copy and the liveness
+  // count all touch that prefix alone.  A level no entry stores a row for
+  // has the cells of the level above it (no row added, and an entry joins
+  // the prefix exactly at its deepest stored row), so its decode is the
+  // previous one, handed to the visitor again without a copy or a peel.
   const std::size_t stride = cell_stride_;
   const std::size_t count = entries_.size();
   std::vector<std::uint32_t> order(count);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return entries_[a].rows > entries_[b].rows;
+                     return depth_of(entries_[a].mask) >
+                            depth_of(entries_[b].mask);
                    });
   std::vector<std::uint32_t> pos_of(count);
+  std::uint64_t written = 0;  // levels at least one entry stores a row for
   for (std::size_t p = 0; p < count; ++p) {
     pos_of[order[p]] = static_cast<std::uint32_t>(p);
+    written |= entries_[p].mask;
   }
   std::vector<OneSparseCell> acc(count * stride);  // by sweep position
+  std::vector<std::uint8_t> live(count);  // acc nonzero, by sweep position
   std::vector<OneSparseCell> work;
+  std::optional<std::vector<KvEntry>> decoded{std::in_place};  // empty level
+  std::size_t live_entries = 0;
   std::size_t live_levels = 0;
   std::size_t reach = 0;
   for (std::size_t j = levels_; j-- > 0;) {
-    while (reach < count && entries_[order[reach]].rows > j) ++reach;
-    for (std::size_t p = 0; p < reach; ++p) {
-      const OneSparseCell* row = cells_of(entries_[order[p]]) + j * stride;
-      OneSparseCell* sum = acc.data() + p * stride;
-      for (std::size_t c = 0; c < stride; ++c) sum[c].merge(row[c], 1);
-      if (std::any_of(sum, sum + stride,
-                      [](const OneSparseCell& c) { return !c.is_zero(); })) {
-        ++live_levels;
+    if ((written >> j & 1) != 0) {
+      while (reach < count && depth_of(entries_[order[reach]].mask) > j) {
+        ++reach;
       }
+      for (std::size_t p = 0; p < reach; ++p) {
+        const Entry& e = entries_[order[p]];
+        if ((e.mask >> j & 1) == 0) continue;
+        const OneSparseCell* row = cells_of(e) + row_index(e.mask, j) * stride;
+        OneSparseCell* sum = acc.data() + p * stride;
+        for (std::size_t c = 0; c < stride; ++c) sum[c].merge(row[c], 1);
+        const bool now = std::any_of(
+            sum, sum + stride,
+            [](const OneSparseCell& c) { return !c.is_zero(); });
+        live_entries = live_entries + now - live[p];
+        live[p] = now;
+      }
+      work.assign(acc.begin(),
+                  acc.begin() + static_cast<std::ptrdiff_t>(reach * stride));
+      decoded = peel_level(work, pos_of);
     }
-    work.assign(acc.begin(),
-                acc.begin() + static_cast<std::ptrdiff_t>(reach * stride));
-    on_level(j, peel_level(work, pos_of));
+    live_levels += live_entries;
+    on_level(j, decoded);
   }
   return live_levels * stride * sizeof(OneSparseCell) +
          sizeof(LinearKvConfig);
@@ -419,6 +458,10 @@ std::optional<std::vector<KvEntry>> KvTableBank::peel_level(
         CellState::kOneSparse) {
       continue;
     }
+    // Peeling zeroes the cell's key detector and later subtractions only
+    // remove keys, so a consistent level peels each cell at most once.
+    // More peels than cells means corrupted state: fail instead of cycling.
+    if (found.size() == reach) return std::nullopt;
     KvEntry entry;
     entry.key = rec.coord;
     entry.key_count = rec.value;

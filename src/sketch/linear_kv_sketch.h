@@ -168,35 +168,41 @@ class KvBankGeometry {
 //   * payload term pair + row buckets: one (was one per level),
 //   * table slots: `tables` bucket hashes + probes (was (jmax+1) * tables),
 //
-// with the per-level cells living in a contiguous block per touched
-// (table, slot) so the remaining j loop is pure field adds on one cache
-// line run.  Sharing randomness across a terminal's levels is sound for
-// the same reason the nested-instance rows share a spanner seed: levels of
-// one terminal are never voted/averaged against each other -- decode takes
-// the sparsest level that succeeds, and each level's success bound holds
-// over the shared randomness by itself (union bound over levels).
+// with a touched (table, slot)'s level rows living in one contiguous block
+// so each write is pure field adds on one cache line run.  Sharing
+// randomness across a terminal's levels is sound for the same reason the
+// nested-instance rows share a spanner seed: levels of one terminal are
+// never voted/averaged against each other -- decode takes the sparsest
+// level that succeeds, and each level's success bound holds over the
+// shared randomness by itself (union bound over levels).
 //
 // Storage is an open-addressed slot -> entry index map (no per-probe
-// pointer chase, no node allocations) where an entry's cell block covers
-// levels 0..jcap (the deepest level an update or merge ever touched at that
-// slot) -- memory stays proportional to touched state, like the historical
-// map.  Cancelled-to-zero cells are kept (the historical per-level maps
-// erased them); decode and is_zero treat them as the zeros they are, so
-// decoded results and diagnostics are unaffected.
+// pointer chase, no node allocations) where an entry stores only the level
+// rows an update or merge actually wrote at that slot -- memory stays
+// proportional to written state, like the historical map.  Cancelled-to-zero
+// rows are kept (the historical per-level maps erased them); decode and
+// is_zero treat them as the zeros they are, so decoded results and
+// diagnostics are unaffected.
 //
 // LEVEL-DIFF REPRESENTATION: an update to levels 0..jmax physically writes
-// its terms ONLY at block row jmax; the value of level j is materialized as
-// the suffix sum over stored rows j' >= j (decode_levels keeps one running
-// sum per entry, so each stored row is added exactly once).
+// its terms ONLY at row jmax; the value of level j is materialized as the
+// suffix sum over stored rows j' >= j (decode_levels keeps one running sum
+// per entry, so each stored row is added exactly once, and a level no entry
+// stores a row for decodes exactly like the level above it).
 // The two are exactly interchangeable because every cell component is
 // additive (field adds / wrapping integer adds commute and associate), so
 // sum-of-diffs == diff-of-sums -- linearity again, applied across the level
 // axis.  An update's cost drops from (jmax + 1) * tables cell writes to
 // `tables`; merge is untouched (diffs add like values); is_zero is
 // equivalent (all suffix sums zero <=> all diffs zero, by induction from
-// the deepest row down).
+// the deepest row down).  A row never written is a zero diff, so it is not
+// stored at all; the wire format still carries the dense rows 0..depth-1.
 class KvTableBank {
  public:
+  // An entry's level mask is one 64-bit word; more levels throw
+  // std::invalid_argument at construction.
+  static constexpr std::size_t kMaxLevels = 64;
+
   // Private-geometry form: builds a single-class KvBankGeometry internally.
   KvTableBank(const LinearKvConfig& config, std::size_t levels);
   // Fleet form: share one geometry across many banks; `cls` selects this
@@ -240,6 +246,11 @@ class KvTableBank {
 
   [[nodiscard]] bool is_zero() const noexcept;
   [[nodiscard]] std::size_t levels() const noexcept { return levels_; }
+  // Bytes held by live arena blocks (stored rows plus each block's growth
+  // slack): the bank's resident cell storage.
+  [[nodiscard]] std::size_t stored_bytes() const noexcept {
+    return arena_.live_slots() * sizeof(OneSparseCell);
+  }
   [[nodiscard]] const LinearKvConfig& config() const noexcept {
     return geo_->config(cls_);
   }
@@ -260,25 +271,22 @@ class KvTableBank {
  private:
   using CellArena = SlabArena<OneSparseCell>;
 
-  // One touched (table, slot): DIFF rows for levels 0..rows-1, level-major,
-  // living in the bank's cell arena at `block` -- row j starts at
-  // block + j * cell_stride_; cell 0 of a row is the level's key-detector
-  // diff, cells 1 + c its payload diffs; the level's value is the suffix
-  // sum of rows >= j (see the class comment).  `rows` is the deepest level
-  // prefix an update or merge ever touched at this slot (the wire format's
-  // "touched levels").  Handles are offsets into the per-bank slab arena,
-  // so entries copy/move with the bank and a bank's blocks pack into a
-  // handful of geometrically sized slabs instead of one malloc per entry.
+  // One touched (table, slot): the DIFF rows of the levels written there,
+  // packed in ascending level order in the bank's cell arena at `block`.
+  // Bit j of `mask` is set iff level j's row is stored; it sits at index
+  // popcount(mask & (2^j - 1)), starting at block + index * cell_stride_.
+  // Cell 0 of a row is the level's key-detector diff, cells 1 + c its
+  // payload diffs; the level's value is the suffix sum of rows >= j (see
+  // the class comment).  The depth bit_width(mask) is the wire format's
+  // "touched levels".  The block has room for `cap` rows and doubles when
+  // a new level's row does not fit.  Handles are offsets into the per-bank
+  // slab arena, so entries copy/move with the bank and a bank's blocks pack
+  // into a handful of geometrically sized slabs instead of one malloc per
+  // entry.
   struct Entry {
     std::uint64_t slot_id = 0;
+    std::uint64_t mask = 0;
     CellArena::Handle block = CellArena::kNull;
-    std::uint32_t rows = 0;  // logical depth: what decode/serialize see
-    // Allocated depth (block spans cap * cell_stride_ cells).  Rows grow
-    // one level at a time as deeper jmax values arrive, so the block is
-    // sized geometrically and `rows` advances within it without touching
-    // the arena -- the amortized-O(1) growth the per-entry vectors had.
-    // The tail rows..cap-1 stays zero (allocate() zero-fills and writes
-    // land below `rows`), which is what makes the in-place advance legal.
     std::uint32_t cap = 0;
   };
 
@@ -286,10 +294,10 @@ class KvTableBank {
   [[nodiscard]] Entry& entry_at(std::uint64_t slot_id);
   [[nodiscard]] const Entry* find_entry(std::uint64_t slot_id) const;
   void grow_table();
-  // Grows an entry's block to cover rows 0..rows-1 (zero-filled tail, old
-  // rows copied, old block recycled).  Invalidates raw cell pointers into
-  // arena_ -- callers re-fetch after.
-  void ensure_rows(Entry& entry, std::uint32_t rows);
+  // Level j's stored row of `entry`, inserting a zeroed row in place first
+  // when the level has none.  Invalidates raw cell pointers into the
+  // entry's block -- callers re-fetch after.
+  [[nodiscard]] OneSparseCell* row_for_write(Entry& entry, std::size_t j);
   [[nodiscard]] const OneSparseCell* cells_of(const Entry& e) const {
     return arena_.data(e.block);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "serialize/binary_io.h"
 #include "util/random.h"
 
 namespace kw {
@@ -271,8 +273,10 @@ constexpr std::size_t kDiffLevels = 6;
 // Insertions over a key pool with geometric level caps, deletions of some
 // earlier updates, and a few keys cancelled back to exactly zero.  Deeper
 // levels hold fewer keys, so the shallow levels overload the tables and
-// the deep ones decode.
-[[nodiscard]] std::vector<BankOp> random_bank_ops(std::uint64_t seed) {
+// the deep ones decode.  `caps`, when given, restricts every jmax to that
+// set, so the stored rows sit on a few levels separated by empty ones.
+[[nodiscard]] std::vector<BankOp> random_bank_ops(
+    std::uint64_t seed, const std::vector<std::size_t>& caps = {}) {
   Rng rng(seed);
   std::vector<BankOp> ops;
   std::vector<std::uint64_t> pool(60);
@@ -285,6 +289,7 @@ constexpr std::size_t kDiffLevels = 6;
     op.payload_delta = rng.next_below(2) == 0 ? 1 : -2;
     op.jmax = 0;
     while (op.jmax + 1 < kDiffLevels && rng.next_below(3) != 0) ++op.jmax;
+    if (!caps.empty()) op.jmax = caps[op.jmax % caps.size()];
     ops.push_back(op);
   }
   const std::size_t inserted = ops.size();
@@ -296,7 +301,8 @@ constexpr std::size_t kDiffLevels = 6;
   }
   for (int i = 0; i < 3; ++i) {
     const std::uint64_t key = rng.next_below(1 << 10);
-    const std::size_t jmax = rng.next_below(kDiffLevels);
+    std::size_t jmax = rng.next_below(kDiffLevels);
+    if (!caps.empty()) jmax = caps[jmax % caps.size()];
     ops.push_back({key, 2, 7, 1, jmax});
     ops.push_back({key, -2, 7, -1, jmax});
   }
@@ -363,12 +369,16 @@ std::pair<std::size_t, std::size_t> expect_matches_reference(
   return {overloaded, nonempty};
 }
 
+// Level sets for random_bank_ops: every level, and two with empty levels
+// between the stored rows (decode_levels reuses the level above there).
+const std::vector<std::vector<std::size_t>> kCapSets = {{}, {1, 4}, {0, 3, 5}};
+
 TEST(KvTableBank, SweepDecodeMatchesPerLevelReference) {
   std::size_t overloaded = 0;
   std::size_t nonempty = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const LinearKvConfig config = diff_config(100 + seed);
-    const auto ops = random_bank_ops(seed);
+    const auto ops = random_bank_ops(seed, kCapSets[seed % kCapSets.size()]);
     // Private and fleet (staged scatter tables) geometries alike.
     for (const bool staged : {false, true}) {
       KvTableBank bank(KvBankGeometry::make({config}, staged), 0, kDiffLevels);
@@ -391,8 +401,9 @@ TEST(KvTableBank, MergedBankSweepMatchesReference) {
   // exactly like the reference fed the net update set.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const LinearKvConfig config = diff_config(200 + seed);
-    const auto ops = random_bank_ops(50 + seed);
-    const auto extra = random_bank_ops(90 + seed);
+    const auto& caps = kCapSets[seed % kCapSets.size()];
+    const auto ops = random_bank_ops(50 + seed, caps);
+    const auto extra = random_bank_ops(90 + seed, caps);
     KvTableBank merged(config, kDiffLevels);
     KvTableBank second(config, kDiffLevels);
     KvTableBank removed(config, kDiffLevels);
@@ -408,7 +419,103 @@ TEST(KvTableBank, MergedBankSweepMatchesReference) {
     merged.merge(second);
     merged.merge(removed);
     merged.merge(removed, -1);
+    // A row written only by `deepest` and then subtracted back out: the
+    // level keeps a stored all-zero row in every touched slot.
+    KvTableBank deepest(config, kDiffLevels);
+    deepest.update(5, 1, 9, 1, kDiffLevels - 1);
+    merged.merge(deepest);
+    merged.merge(deepest, -1);
     (void)expect_matches_reference(merged, config, ops);
+  }
+}
+
+TEST(KvTableBank, RejectsMoreLevelsThanTheMask) {
+  const LinearKvConfig config = diff_config(1);
+  EXPECT_NO_THROW(KvTableBank(config, KvTableBank::kMaxLevels));
+  EXPECT_THROW(KvTableBank(config, KvTableBank::kMaxLevels + 1),
+               std::invalid_argument);
+}
+
+TEST(KvTableBank, StoresOnlyWrittenRows) {
+  const LinearKvConfig config = diff_config(3);
+  KvTableBank bank(config, kDiffLevels);
+  const std::size_t row_bytes =
+      config.tables * bank.geometry().cell_stride() * sizeof(OneSparseCell);
+  EXPECT_EQ(bank.stored_bytes(), 0u);
+  // One update to levels 0..4 writes one row per table, not five.
+  bank.update(/*key=*/17, 1, /*payload_coord=*/3, 1, /*jmax=*/4);
+  EXPECT_EQ(bank.stored_bytes(), row_bytes);
+  // Another update at the same level adds into the stored rows.
+  bank.update(17, 1, 5, 1, 4);
+  EXPECT_EQ(bank.stored_bytes(), row_bytes);
+  // A second level inserts a row below the first in the packed block.
+  bank.update(17, -2, 3, -1, 1);
+  EXPECT_EQ(bank.stored_bytes(), 2 * row_bytes);
+  (void)expect_matches_reference(
+      bank, config, {{17, 1, 3, 1, 4}, {17, 1, 5, 1, 4}, {17, -2, 3, -1, 1}});
+}
+
+[[nodiscard]] std::vector<unsigned char> saved(const KvTableBank& bank) {
+  ser::Writer w;
+  bank.serialize_state(w);
+  return w.buffer();
+}
+
+TEST(KvTableBank, InconsistentStateFailsInsteadOfCycling) {
+  // One key in three tables, with its table-1 cell zeroed on the wire: the
+  // peel then finds the key alternately in tables 0 and 1 with opposite
+  // counts, forever, unless the decode bounds its peels.
+  const LinearKvConfig config = diff_config(5);
+  KvTableBank bank(config, kDiffLevels);
+  bank.update(/*key=*/9, 1, /*payload_coord=*/4, 1, /*jmax=*/0);
+  std::vector<unsigned char> bytes = saved(bank);
+  const std::size_t row_bytes =
+      bank.geometry().cell_stride() * sizeof(OneSparseCell);
+  // Header: entry count, levels, stride; each entry: slot id, depth, rows.
+  const std::size_t table1_cells = 3 * 8 + (2 * 8 + row_bytes) + 2 * 8;
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(table1_cells),
+              row_bytes, 0);
+  ser::Reader r(bytes.data(), bytes.size());
+  KvTableBank loaded(config, kDiffLevels);
+  loaded.deserialize_state(r);
+  std::size_t failed = 0;
+  (void)loaded.decode_levels(
+      [&](std::size_t j, const std::optional<std::vector<KvEntry>>& got) {
+        if (j == 0 && !got.has_value()) ++failed;
+      });
+  EXPECT_EQ(failed, 1u);
+}
+
+TEST(KvTableBank, SaveLoadSaveIsByteIdentical) {
+  const LinearKvConfig config = diff_config(4);
+  // Levels 2 and 3 untouched between stored rows at 1 and 4.
+  KvTableBank gap(config, kDiffLevels);
+  gap.update(40, 1, 2, 1, 1);
+  gap.update(40, 1, 6, 1, 4);
+  gap.update(41, 3, 8, -1, 4);
+  // The deepest row written and then cancelled: it stays on the wire as
+  // zeros, so a reload must keep the entry's depth.
+  KvTableBank cancelled(config, kDiffLevels);
+  cancelled.update(50, 1, 2, 1, 2);
+  cancelled.update(50, 2, 4, 1, 5);
+  cancelled.update(50, -2, 4, -1, 5);
+  // A subtract-merged bank: shared rows cancel, the rest keep their sign.
+  KvTableBank merged(config, kDiffLevels);
+  KvTableBank other(config, kDiffLevels);
+  for (const BankOp& op : random_bank_ops(7)) {
+    merged.update(op.key, op.key_delta, op.coord, op.payload_delta, op.jmax);
+  }
+  for (const BankOp& op : random_bank_ops(8)) {
+    other.update(op.key, op.key_delta, op.coord, op.payload_delta, op.jmax);
+  }
+  merged.merge(other, -1);
+  for (const KvTableBank* bank : {&gap, &cancelled, &merged}) {
+    const std::vector<unsigned char> first = saved(*bank);
+    ser::Reader r(first.data(), first.size());
+    KvTableBank loaded(config, kDiffLevels);
+    loaded.deserialize_state(r);
+    EXPECT_EQ(saved(loaded), first);
+    EXPECT_LE(loaded.stored_bytes(), bank->stored_bytes());
   }
 }
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -516,6 +517,19 @@ TEST(BankGroup, RangeChecks) {
   bad.coord = 0;
   bad.delta = 1;
   EXPECT_THROW(group.ingest_pairs({&bad, 1}), std::out_of_range);
+}
+
+TEST(BankGroup, MultiplicityOverflowThrows) {
+  // Two maximal deltas on one (endpoints, coordinate) overflow the staged
+  // aggregate; the batch is refused instead of wrapping.
+  BankGroup group(3, group_config(101, 2));
+  BankPairUpdate u;
+  u.lo = 0;
+  u.hi = 1;
+  u.coord = 5;
+  u.delta = std::numeric_limits<std::int64_t>::max();
+  const std::vector<BankPairUpdate> batch = {u, u};
+  EXPECT_THROW(group.ingest_pairs(batch), std::overflow_error);
 }
 
 // ---- deepest-level threshold vs the per-level loop ------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -172,6 +173,30 @@ TEST(TwoPass, PhaseDisciplineEnforced) {
   spanner.pass1_update({0, 1, 1, 1.0});
   spanner.finish_pass1();
   EXPECT_THROW(spanner.pass1_update({0, 1, 1, 1.0}), std::logic_error);
+}
+
+TEST(TwoPass, RejectsVertexCountBeyondBankLevelMask) {
+  // The half-octave Y_j ladder has 2 * ceil(log2 n) + 1 levels; past
+  // n = 2^31 that exceeds a pass-2 bank's 64-level mask, and construction
+  // must say so before building anything O(n).
+  EXPECT_THROW(TwoPassSpanner((Vertex{1} << 31) + 1, make_config(2, 1)),
+               std::invalid_argument);
+}
+
+TEST(TwoPass, BatchMultiplicityOverflowThrows) {
+  // SpannerBatchEntry carries the stream's int32 deltas; two maximal
+  // deltas on one coordinate overflow the aggregated sum.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::vector<SpannerBatchEntry> entries = {{pair_id(0, 1, 8), 0, 1, 0, kMax},
+                                            {pair_id(0, 1, 8), 0, 1, 0, kMax}};
+  std::vector<std::uint64_t> ucoords;
+  std::vector<std::uint64_t> slot_table;
+  std::vector<std::uint32_t> slot_ids;
+  EXPECT_THROW(aggregate_batch_entries(entries, ucoords, slot_table, slot_ids),
+               std::overflow_error);
+  TwoPassSpanner spanner(8, make_config(2, 1));
+  const std::vector<EdgeUpdate> batch = {{0, 1, kMax, 1.0}, {1, 0, kMax, 1.0}};
+  EXPECT_THROW(spanner.absorb(batch), std::overflow_error);
 }
 
 TEST(TwoPass, WeightedSpannerViaClasses) {
