@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
@@ -90,6 +93,82 @@ TEST(Multipass, EmptyStream) {
   const MultipassResult result =
       multipass_baswana_sen(stream, make_config(2, 53));
   EXPECT_EQ(result.spanner.m(), 0u);
+}
+
+// ---- goldens ---------------------------------------------------------------
+//
+// Pins everything a run produces -- the spanner edge list (as an FNV-1a
+// digest over the sorted (u, v) pairs), |H|, the decode-miss counter and
+// the nominal space claim -- over fixed seeds, k in {2, 3}, an ER graph
+// (m = 8n) and a Barabasi-Albert graph, n = 256, each streamed with 2n
+// churn pairs.  Any change to how the per-vertex key -> edge tables are
+// stored or decoded must reproduce these exactly.
+
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+[[nodiscard]] std::uint64_t edge_digest(const Graph& g) {
+  std::vector<Edge> edges = g.edges();
+  for (Edge& e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+  });
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : edges) h = fnv1a(h, (std::uint64_t{e.u} << 32) | e.v);
+  return h;
+}
+
+TEST(Multipass, GoldensPinned) {
+  struct Golden {
+    const char* family;  // "er" or "ba"
+    unsigned k;
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+    std::size_t unrecovered;
+    std::size_t nominal_bytes;
+  };
+  const Golden goldens[] = {
+      {"er", 2, 1, 1940, 0x90df362fbee069a1ULL, 0, 315719728},
+      {"er", 2, 2, 1952, 0x173d1b6aa4bee45dULL, 1, 315719728},
+      {"er", 2, 3, 1965, 0x8145389703c61c6fULL, 1, 315719728},
+      {"er", 2, 7, 1947, 0xc2620ebf641edba1ULL, 1, 315719728},
+      {"er", 3, 1, 1304, 0xe1116e93025cdeecULL, 6, 189726792},
+      {"er", 3, 2, 1572, 0x39199ea8b549f433ULL, 2, 189726792},
+      {"er", 3, 3, 1584, 0x767c237853b3a4deULL, 4, 189726792},
+      {"er", 3, 7, 1461, 0x64ae2ab57c523b02ULL, 5, 189726792},
+      {"ba", 2, 1, 1976, 0x42740b0d8dd431b6ULL, 0, 315719728},
+      {"ba", 2, 2, 1923, 0xc6f24e8a691a2377ULL, 5, 315719728},
+      {"ba", 2, 3, 1824, 0xb9c363fa3c5bfa80ULL, 5, 315719728},
+      {"ba", 2, 7, 1766, 0x4d0e6bfee4e4b901ULL, 4, 315719728},
+      {"ba", 3, 1, 1473, 0x635041788b4fae7cULL, 7, 189726792},
+      {"ba", 3, 2, 1419, 0x8597c3b389d92fedULL, 7, 189726792},
+      {"ba", 3, 3, 1612, 0x66748eb69369ef32ULL, 5, 189726792},
+      {"ba", 3, 7, 1578, 0x7958e6433b64acfeULL, 2, 189726792},
+  };
+  constexpr Vertex kN = 256;
+  for (const Golden& want : goldens) {
+    const std::string family = want.family;
+    const Graph g = family == "er" ? erdos_renyi_gnm(kN, 8 * kN, want.seed)
+                                   : barabasi_albert_graph(kN, 8, want.seed);
+    const DynamicStream stream =
+        DynamicStream::with_churn(g, 2 * kN, want.seed + 1);
+    const MultipassResult result =
+        multipass_baswana_sen(stream, make_config(want.k, want.seed));
+    const std::string what = family + " k=" + std::to_string(want.k) +
+                             " seed=" + std::to_string(want.seed);
+    EXPECT_EQ(result.spanner.m(), want.edges) << what;
+    EXPECT_EQ(edge_digest(result.spanner), want.digest) << what;
+    EXPECT_EQ(result.unrecovered, want.unrecovered) << what;
+    EXPECT_EQ(result.nominal_bytes, want.nominal_bytes) << what;
+  }
 }
 
 }  // namespace
