@@ -67,10 +67,11 @@ MultipassSpanner::MultipassSpanner(const MultipassSpanner& other,
 
 void MultipassSpanner::make_phase_sketches() {
   to_sampled_ = SketchBank(n_, sampler_config(n_, config_, phase_));
-  // Copies of one prototype share the fingerprint pow tables (all vertices
-  // use the same phase seed).
-  per_cluster_.assign(n_,
-                      LinearKeyValueSketch(table_config(n_, config_, phase_)));
+  // Every vertex's table is a one-level bank on ONE phase geometry (all
+  // vertices use the phase seed): copies of the prototype share it.  The
+  // geometry stays unstaged -- the payload space is num_pairs(n).
+  per_cluster_.assign(
+      n_, KvTableBank(table_config(n_, config_, phase_), /*levels=*/1));
 }
 
 void MultipassSpanner::begin_phase() {
@@ -110,7 +111,7 @@ void MultipassSpanner::absorb(std::span<const EdgeUpdate> batch) {
       if (!final_phase && survives_[cu] != 0) {
         sampler_staging_.push_back({v, coord, upd.delta});
       }
-      per_cluster_[v].update(cu, upd.delta, coord, upd.delta);
+      per_cluster_[v].update(cu, upd.delta, coord, upd.delta, /*jmax=*/0);
     }
   }
   to_sampled_.ingest_updates(sampler_staging_);
@@ -124,10 +125,9 @@ void MultipassSpanner::add_pair(std::uint64_t pair_coord) {
 void MultipassSpanner::rehome() {
   const bool final_phase = phase_ == config_.k;
   ++passes_done_;
-  nominal_bytes_ += to_sampled_.nominal_bytes();
-  for (Vertex v = 0; v < n_; ++v) {
-    nominal_bytes_ += per_cluster_[v].nominal_bytes();
-  }
+  nominal_bytes_ += to_sampled_.nominal_bytes() +
+                    n_ * KvTableBank::nominal_bytes(
+                             table_config(n_, config_, phase_), /*levels=*/1);
 
   std::vector<Vertex> next_cluster = cluster_of_;
   for (Vertex v = 0; v < n_; ++v) {
@@ -147,19 +147,22 @@ void MultipassSpanner::rehome() {
     }
     // No sampled neighbor (or final phase): one edge per neighboring
     // cluster, then leave the clustering.
-    const auto decoded = per_cluster_[v].decode();
-    if (decoded.has_value()) {
-      for (const auto& entry : *decoded) {
-        const auto support = per_cluster_[v].decode_payload(entry);
-        if (support.has_value() && !support->empty()) {
-          add_pair(support->front().coord);
-        } else {
-          ++unrecovered_;
-        }
-      }
-    } else {
-      ++unrecovered_;
-    }
+    const KvTableBank& table = per_cluster_[v];
+    (void)table.decode_levels(
+        [&](std::size_t, const std::optional<std::vector<KvEntry>>& decoded) {
+          if (!decoded.has_value()) {
+            ++unrecovered_;
+            return;
+          }
+          for (const KvEntry& entry : *decoded) {
+            const auto support = table.decode_payload(entry);
+            if (support.has_value() && !support->empty()) {
+              add_pair(support->front().coord);
+            } else {
+              ++unrecovered_;
+            }
+          }
+        });
     next_cluster[v] = kUnclustered;
   }
   cluster_of_ = std::move(next_cluster);

@@ -8,7 +8,9 @@
 /// keyed by neighboring cluster id (to take one edge per neighboring cluster
 /// if re-homing fails -- the per-vertex table is decodable because a vertex
 /// with many neighboring clusters has a sampled one whp, the same argument
-/// as Claim 11).  The final pass joins every remaining cluster pair.
+/// as Claim 11).  The table is a one-level KvTableBank, the same structure
+/// as the two-pass spanner's H^u_j; all vertices of a phase share one bank
+/// geometry.  The final pass joins every remaining cluster pair.
 ///
 /// Stretch 2k-1 with O(k n^{1+1/k} log n) edges in k passes -- the paper's
 /// Theorem 1 gets stretch 2^k in TWO passes at the same space; this class
@@ -100,7 +102,7 @@ class MultipassSpanner final : public StreamProcessor {
   std::vector<char> survives_;  // this phase's surviving centers
   SketchBank to_sampled_;       // per-vertex L0 over edges into survivors
   std::vector<BankVertexUpdate> sampler_staging_;  // absorb() gather, reused
-  std::vector<LinearKeyValueSketch> per_cluster_;
+  std::vector<KvTableBank> per_cluster_;  // one-level bank per vertex
   std::size_t nominal_bytes_ = 0;
   std::size_t unrecovered_ = 0;
   std::size_t passes_done_ = 0;

@@ -402,7 +402,6 @@ void TwoPassSpanner::pass1_ingest_row(
   }
   TwoPassSpanner& lead = *instances.front();
   const SpannerGeometry& geo = *lead.geo_;
-  bool monotone = true;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (instances[i]->phase_ != Phase::kPass1) {
       throw std::logic_error("not in pass 1");
@@ -414,13 +413,15 @@ void TwoPassSpanner::pass1_ingest_row(
     if (prefixes[i] > entries.size()) {
       throw std::out_of_range("pass1_ingest_row: prefix beyond the batch");
     }
-    if (i > 0 && prefixes[i] > prefixes[i - 1]) monotone = false;
+    if (i > 0 && prefixes[i] > prefixes[i - 1]) {
+      throw std::invalid_argument(
+          "pass1_ingest_row: prefixes must be non-increasing");
+    }
   }
   lead.validate_entries(entries);
   const std::size_t rows = geo.config.pass1_rows;
-  if (rows == 0 || rows > kMaxFastRows || !monotone) {
-    // Exotic geometry or general (non-nested) prefixes: take the exact
-    // scalar path (same cells).
+  if (rows == 0 || rows > kMaxFastRows) {
+    // Exotic geometry: take the exact scalar path (same cells).
     for (std::size_t i = 0; i < instances.size(); ++i) {
       for (const SpannerBatchEntry& e : entries.first(prefixes[i])) {
         instances[i]->pass1_update({e.u, e.v, e.delta, 1.0});
@@ -754,21 +755,6 @@ void TwoPassSpanner::pass2_ingest(std::span<const SpannerBatchEntry> entries) {
   pass2_ingest_row({&self, 1}, {&prefix, 1}, entries);
 }
 
-void TwoPassSpanner::pass2_ingest_each(
-    std::span<const SpannerBatchEntry> entries) {
-  const std::uint8_t* y_caps = geo_->y_caps.data();
-  for (const SpannerBatchEntry& e : entries) {
-    for (int side = 0; side < 2; ++side) {
-      const Vertex a = side == 0 ? e.u : e.v;
-      const Vertex b = side == 0 ? e.v : e.u;
-      const std::uint32_t t = terminal_of_vertex_[a];
-      if (is_member(t, b)) continue;  // b in T_u: skip
-      bank_for(t).update(/*key=*/b, e.delta, /*payload_coord=*/a, e.delta,
-                         /*jmax=*/y_caps[a]);
-    }
-  }
-}
-
 void TwoPassSpanner::pass2_ingest_row(
     std::span<TwoPassSpanner* const> instances,
     std::span<const std::size_t> prefixes,
@@ -778,7 +764,6 @@ void TwoPassSpanner::pass2_ingest_row(
     throw std::invalid_argument("pass2_ingest_row: one prefix per instance");
   }
   TwoPassSpanner& lead = *instances.front();
-  bool monotone = true;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (instances[i]->phase_ != Phase::kPass2) {
       throw std::logic_error("not in pass 2");
@@ -790,20 +775,15 @@ void TwoPassSpanner::pass2_ingest_row(
     if (prefixes[i] > entries.size()) {
       throw std::out_of_range("pass2_ingest_row: prefix beyond the batch");
     }
-    if (i > 0 && prefixes[i] > prefixes[i - 1]) monotone = false;
+    if (i > 0 && prefixes[i] > prefixes[i - 1]) {
+      throw std::invalid_argument(
+          "pass2_ingest_row: prefixes must be non-increasing");
+    }
   }
   lead.validate_entries(entries);
   const SpannerGeometry& geo = *lead.geo_;
-  const KvBankGeometry* bg = geo.bank_geo.get();
-  if (!monotone || bg == nullptr || !bg->staged()) {
-    // General prefixes (or an unstaged geometry): per-instance scatter,
-    // same arithmetic.  The KP12 dispatcher's nested prefixes are always
-    // non-increasing, so the hot path below is the one that runs.
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      instances[i]->pass2_ingest_each(entries.first(prefixes[i]));
-    }
-    return;
-  }
+  // Every SpannerGeometry stages its bank geometry's scatter operands.
+  const KvBankGeometry& bg = *geo.bank_geo;
   // Bank-major scatter.  An entry-major walk pays the full dependent-load
   // chain (terminal route -> bank -> hash probe -> entry -> cell block) for
   // EVERY (entry, instance) pair, and consecutive pairs land in unrelated
@@ -878,8 +858,8 @@ void TwoPassSpanner::pass2_ingest_row(
             bank_off.begin() - 1);
         bank = &instances[i]->bank_for(tc.bank - bank_off[i]);
       }
-      const std::uint64_t* kt = bg->key_term(tc.b);
-      const std::uint64_t* pt = bg->pay_term(tc.a);
+      const std::uint64_t* kt = bg.key_term(tc.b);
+      const std::uint64_t* pt = bg.pay_term(tc.a);
       std::uint64_t kt1 = kt[0];
       std::uint64_t kt2 = kt[1];
       std::uint64_t pt1 = pt[0];

@@ -260,8 +260,10 @@ class TwoPassSpanner final : public StreamProcessor {
   void pass2_ingest(std::span<const SpannerBatchEntry> entries);
 
   // --- row-shared staged ingest (the KP12 nested-instance hot path) ---
-  // instances[i] ingests the prefix entries[0, prefixes[i]); every instance
-  // must share ONE SpannerGeometry (and be in pass 1 / pass 2 accordingly).
+  // instances[i] ingests the prefix entries[0, prefixes[i]); prefixes must
+  // be non-increasing (nested instances, std::invalid_argument otherwise)
+  // and every instance must share ONE SpannerGeometry (and be in pass 1 /
+  // pass 2 accordingly).
   // Staging -- hierarchy qualification, E_j levels, fingerprint terms, row
   // buckets -- runs ONCE over the full entry set on instances[0]'s scratch
   // and every instance's scatter reuses it; cells are bit-identical to each
@@ -372,10 +374,6 @@ class TwoPassSpanner final : public StreamProcessor {
   // diagnostics, mirroring the historical map's lazy emplace.
   [[nodiscard]] OneSparseCell* page_stripe(Pass1Page& page, Vertex keeper);
   void validate_entries(std::span<const SpannerBatchEntry> entries) const;
-  // Per-entry pass-2 scatter shared by pass2_ingest and the row form's
-  // per-instance fallback (the exact per-update arithmetic of
-  // pass2_update, batch-shaped).
-  void pass2_ingest_each(std::span<const SpannerBatchEntry> entries);
   // Is v a member of terminal tree `term`?  O(1): each vertex belongs to at
   // most one tree per level, so v is in `term` iff `term` IS the tree at
   // term's level containing v (tree_at_level_, built at finish_pass1; the

@@ -44,7 +44,6 @@ class BankGroup;
 class SketchBank;
 class SparseRecoverySketch;
 class DistinctElementsSketch;
-class LinearKeyValueSketch;
 class AgmGraphSketch;
 class TwoPassSpanner;
 class SpanningForestProcessor;
@@ -60,6 +59,14 @@ constexpr std::uint32_t kMagic = 0x4B53574Bu;  // 'KWSK' little-endian
 // v2: KvTableBank blocks became level diffs and the pass-2 bank seed chain
 // went per-capacity-class (shared fleet geometry); v1 spanner checkpoints
 // would decode silently wrong, so the version gate rejects them.
+//
+// The MPSP payload changed within v2: its per-vertex tables were standalone
+// key -> payload sketches and are now one-level KvTableBanks.  The version
+// stays 2 because the committed v2 KP12 fixture must keep loading and
+// reserializing byte for byte.  An older MPSP checkpoint is rejected all
+// the same: where a bank's state stores its level count (1), the old table
+// stored its payload cell count, which is never 1, so the `levels` field
+// check throws SerializeError.
 constexpr std::uint32_t kFormatVersion = 2;
 
 [[nodiscard]] constexpr std::uint32_t fourcc(char a, char b, char c,
@@ -71,12 +78,12 @@ constexpr std::uint32_t kFormatVersion = 2;
 }
 
 // Type tags.  A tag names a payload layout; bumping a layout means a new
-// format version, not a new tag.
+// format version, not a new tag -- unless the old layout is rejected by a
+// field check anyway, as for MPSP above.
 constexpr std::uint32_t kTagBankGroup = fourcc('B', 'K', 'G', 'R');
 constexpr std::uint32_t kTagSketchBank = fourcc('S', 'K', 'B', 'K');
 constexpr std::uint32_t kTagSparseRecovery = fourcc('S', 'P', 'R', 'S');
 constexpr std::uint32_t kTagDistinctElements = fourcc('D', 'S', 'T', 'E');
-constexpr std::uint32_t kTagLinearKv = fourcc('L', 'K', 'V', 'S');
 constexpr std::uint32_t kTagAgmSketch = fourcc('A', 'G', 'M', 'S');
 constexpr std::uint32_t kTagTwoPassSpanner = fourcc('T', 'P', 'S', 'P');
 constexpr std::uint32_t kTagSpanningForest = fourcc('S', 'P', 'F', 'P');
@@ -102,7 +109,6 @@ template <> struct SerialTag<BankGroup> { static constexpr std::uint32_t value =
 template <> struct SerialTag<SketchBank> { static constexpr std::uint32_t value = kTagSketchBank; };
 template <> struct SerialTag<SparseRecoverySketch> { static constexpr std::uint32_t value = kTagSparseRecovery; };
 template <> struct SerialTag<DistinctElementsSketch> { static constexpr std::uint32_t value = kTagDistinctElements; };
-template <> struct SerialTag<LinearKeyValueSketch> { static constexpr std::uint32_t value = kTagLinearKv; };
 template <> struct SerialTag<AgmGraphSketch> { static constexpr std::uint32_t value = kTagAgmSketch; };
 template <> struct SerialTag<TwoPassSpanner> { static constexpr std::uint32_t value = kTagTwoPassSpanner; };
 template <> struct SerialTag<SpanningForestProcessor> { static constexpr std::uint32_t value = kTagSpanningForest; };

@@ -1,6 +1,6 @@
 // serialize()/deserialize() members of the sketch layer: BankGroup,
-// SketchBank, SparseRecoverySketch, DistinctElementsSketch,
-// LinearKeyValueSketch, AgmGraphSketch.
+// SketchBank, SparseRecoverySketch, DistinctElementsSketch, KvTableBank
+// (state only), AgmGraphSketch.
 //
 // Each payload starts with the object's configuration/geometry, which
 // deserialize() VALIDATES against the live (identically constructed)
@@ -209,76 +209,6 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
   }
   // One rebuild at the final size (grow_table sizes off entries_.size()).
   if (!entries_.empty()) grow_table();
-}
-
-// ---- LinearKeyValueSketch -----------------------------------------------
-
-void LinearKeyValueSketch::serialize_state(ser::Writer& w) const {
-  w.begin_section("linear_kv.state");
-  // The map is iteration-order-unstable; sort by slot id so save -> load ->
-  // save is byte-identical.
-  std::vector<std::uint64_t> slots;
-  slots.reserve(cells_.size());
-  for (const auto& [slot_id, cell] : cells_) slots.push_back(slot_id);
-  std::sort(slots.begin(), slots.end());
-  w.u64(slots.size());
-  w.u64(payload_geometry_.cell_count());
-  for (const std::uint64_t slot_id : slots) {
-    const Cell& cell = cells_.at(slot_id);
-    w.u64(slot_id);
-    ser::put_cell(w, cell.key_part);
-    for (const OneSparseCell& c : cell.payload) ser::put_cell(w, c);
-  }
-  w.end_section();
-}
-
-void LinearKeyValueSketch::deserialize_state(ser::Reader& r) {
-  const std::uint64_t count = r.u64();
-  ser::check_field(r.u64(), payload_geometry_.cell_count(),
-                   "LinearKv payload cell count");
-  const std::uint64_t slot_limit = config_.tables * cells_per_table_;
-  cells_.clear();
-  std::uint64_t prev_slot = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t slot_id = r.u64();
-    if (slot_id >= slot_limit || (i > 0 && slot_id <= prev_slot)) {
-      throw ser::SerializeError(
-          "LinearKv slot id out of order or out of range");
-    }
-    prev_slot = slot_id;
-    Cell cell = make_cell();
-    cell.key_part = ser::get_cell(r);
-    for (OneSparseCell& c : cell.payload) c = ser::get_cell(r);
-    cells_.emplace(slot_id, std::move(cell));
-  }
-}
-
-void LinearKeyValueSketch::serialize(ser::Writer& w) const {
-  w.begin_section("linear_kv.header");
-  w.u64(config_.max_key);
-  w.u64(config_.max_payload_coord);
-  w.u64(config_.capacity);
-  w.u64(config_.tables);
-  w.f64(config_.load_factor);
-  w.u64(config_.payload_budget);
-  w.u64(config_.payload_rows);
-  w.u64(config_.seed);
-  w.end_section();
-  serialize_state(w);
-}
-
-void LinearKeyValueSketch::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_key, "LinearKv max_key");
-  ser::check_field(r.u64(), config_.max_payload_coord,
-                   "LinearKv max_payload_coord");
-  ser::check_field(r.u64(), config_.capacity, "LinearKv capacity");
-  ser::check_field(r.u64(), config_.tables, "LinearKv tables");
-  ser::check_f64_field(r.f64(), config_.load_factor, "LinearKv load_factor");
-  ser::check_field(r.u64(), config_.payload_budget,
-                   "LinearKv payload_budget");
-  ser::check_field(r.u64(), config_.payload_rows, "LinearKv payload_rows");
-  ser::check_field(r.u64(), config_.seed, "LinearKv seed");
-  deserialize_state(r);
 }
 
 // ---- AgmGraphSketch -----------------------------------------------------

@@ -391,7 +391,7 @@ void MultipassSpanner::serialize(ser::Writer& w) const {
   w.u64(passes_done_);
   w.end_section();
   to_sampled_.serialize(w);
-  for (const LinearKeyValueSketch& table : per_cluster_) {
+  for (const KvTableBank& table : per_cluster_) {
     table.serialize_state(w);
   }
 }
@@ -429,7 +429,7 @@ void MultipassSpanner::deserialize(ser::Reader& r) {
   unrecovered_ = static_cast<std::size_t>(r.u64());
   passes_done_ = static_cast<std::size_t>(r.u64());
   to_sampled_.deserialize(r);
-  for (LinearKeyValueSketch& table : per_cluster_) {
+  for (KvTableBank& table : per_cluster_) {
     table.deserialize_state(r);
   }
 }

@@ -40,7 +40,7 @@ namespace kw {
 // 88 squarings, and the basis costs ~0.7 KiB instead of ~28 KiB.  (The
 // historical poster child -- the KP12 fleet's per-terminal kv tables --
 // moved to a row-shared KvBankGeometry whose single basis DOES carry full
-// tables; today the compact form serves standalone/multipass sketches.)
+// tables; today the compact form serves standalone SparseRecoverySketches.)
 class FingerprintBasis {
  public:
   static constexpr std::size_t kPowBits = 44;

@@ -12,9 +12,6 @@ namespace kw {
 
 namespace {
 
-// Bucket-array seed for a table's first live insert (see update()).
-constexpr std::size_t kFirstTouchReserve = 32;
-
 // Index of level j's row in an entry's packed block (see KvTableBank::Entry).
 [[nodiscard]] std::size_t row_index(std::uint64_t mask, std::size_t j) {
   return static_cast<std::size_t>(
@@ -88,6 +85,11 @@ KvBankGeometry::KvBankGeometry(std::vector<LinearKvConfig> configs,
               std::max<std::uint64_t>(lead.max_payload_coord, 1)) +
           7) /
              8);
+  if (key_bytes_ > FingerprintBasis::kPowBytes ||
+      payload_bytes_ > FingerprintBasis::kPowBytes) {
+    throw std::invalid_argument(
+        "bank geometry key/payload space exceeds the fingerprint power tables");
+  }
   if (!stage_scatter) return;
   // Staged scatter operands, one sweep per kind over the key / payload
   // coordinate spaces.  Everything here is a pure function of the shared
@@ -440,9 +442,9 @@ std::optional<std::vector<KvEntry>> KvTableBank::peel_level(
     const std::vector<std::uint32_t>& pos_of) const {
   // Worklist peeling: every reaching cell is checked once up front, and a
   // peeled key only changes its `tables` slots, so only those are
-  // re-checked.  Subtracting in place from the level's copy is the stored -
-  // overlay of LinearKeyValueSketch::decode, term for term (canonical field
-  // subtraction and wrapping integer adds), so the decoded maps agree.
+  // re-checked.  Subtraction is in place on the level's copy (canonical
+  // field subtraction and wrapping integer adds), so the peel order cannot
+  // change the decoded map.
   const std::size_t stride = cell_stride_;
   const std::size_t payload_cells = stride - 1;
   const std::size_t reach = work.size() / stride;
@@ -516,10 +518,10 @@ std::optional<std::vector<Recovered>> KvTableBank::decode_payload(
 
 std::size_t KvTableBank::nominal_bytes(const LinearKvConfig& config,
                                        std::size_t levels) noexcept {
-  // Mirrors the historical per-level LinearKeyValueSketch accounting so the
-  // space-claim numbers stay comparable across baselines: per level, tables
-  // * cells_per_table dense cells (key detector + embedded payload sketch)
-  // plus the config header.
+  // Per level, tables * cells_per_table dense cells (key detector +
+  // embedded payload sketch) plus the config header -- the accounting the
+  // space-claim numbers have always used, so they stay comparable across
+  // baselines.
   const std::size_t cells_per_table = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::ceil(
              static_cast<double>(config.capacity) / config.load_factor)));
@@ -529,322 +531,6 @@ std::size_t KvTableBank::nominal_bytes(const LinearKvConfig& config,
   return levels *
          (config.tables * cells_per_table * cell_bytes +
           sizeof(LinearKvConfig));
-}
-
-// ---- LinearKeyValueSketch -----------------------------------------------
-
-bool LinearKeyValueSketch::Cell::is_zero() const noexcept {
-  if (!key_part.is_zero()) return false;
-  return std::all_of(payload.begin(), payload.end(),
-                     [](const OneSparseCell& c) { return c.is_zero(); });
-}
-
-LinearKeyValueSketch::LinearKeyValueSketch(const LinearKvConfig& config)
-    : config_(config),
-      cells_per_table_(std::max<std::size_t>(
-          4, static_cast<std::size_t>(std::ceil(
-                 static_cast<double>(config.capacity) / config.load_factor)))),
-      // Compact basis: standalone kv sketches are instantiated with
-      // distinct seeds (one per multipass phase table), so their pow
-      // fallbacks stay on the square tables; fleet consumers share a
-      // full-table KvBankGeometry instead.
-      key_basis_(derive_seed(config.seed, 0x51), /*full_tables=*/false),
-      payload_geometry_(payload_config(config)),
-      table_hashes_(config.tables, /*independence=*/4,
-                    derive_seed(config.seed, 0x53)) {
-  if (config.tables == 0) throw std::invalid_argument("tables must be > 0");
-  if (config.load_factor <= 0.0 || config.load_factor > 1.0) {
-    throw std::invalid_argument("load_factor must be in (0,1]");
-  }
-  // Radix-256 digit counts covering every term exponent, for the staged
-  // pow_pair_bytes walks (exponents are key + 1 <= max_key and
-  // payload_coord + 1 <= max_payload_coord).
-  key_bytes_ = std::max<std::size_t>(
-      1, (std::bit_width(std::max<std::uint64_t>(config.max_key, 1)) + 7) / 8);
-  payload_bytes_ = std::max<std::size_t>(
-      1, (std::bit_width(
-              std::max<std::uint64_t>(config.max_payload_coord, 1)) +
-          7) /
-             8);
-}
-
-LinearKeyValueSketch::Cell LinearKeyValueSketch::make_cell() const {
-  Cell cell;
-  cell.payload.resize(payload_geometry_.cell_count());
-  return cell;
-}
-
-std::uint64_t LinearKeyValueSketch::slot(std::size_t table,
-                                         std::uint64_t key) const {
-  return table * cells_per_table_ +
-         table_hashes_[table].bucket(key, cells_per_table_);
-}
-
-void LinearKeyValueSketch::update(std::uint64_t key, std::int64_t key_delta,
-                                  std::uint64_t payload_coord,
-                                  std::int64_t payload_delta) {
-  if (key >= config_.max_key) {
-    throw std::out_of_range("kv sketch key out of range");
-  }
-  if (key_delta == 0 && payload_delta == 0) return;
-  if (cells_.empty()) {
-    // First live insert: seed the bucket array with a modest reserve.  A
-    // decodable sketch touches up to ~tables * capacity cells, but
-    // fleet-scale consumers (the KP12 sparsifier holds tens of thousands of
-    // these) mostly leave each table nearly empty -- reserving the full
-    // capacity up front cost hundreds of megabytes of bucket arrays there.
-    // Growth past the seed rehashes amortized, relinking nodes in place.
-    cells_.reserve(std::min<std::size_t>(config_.tables * config_.capacity,
-                                         kFirstTouchReserve));
-  }
-  for (std::size_t t = 0; t < config_.tables; ++t) {
-    const std::uint64_t s = slot(t, key);
-    auto it = cells_.find(s);
-    if (it == cells_.end()) it = cells_.emplace(s, make_cell()).first;
-    Cell& cell = it->second;
-    if (key_delta != 0) cell.key_part.add(key, key_delta, key_basis_);
-    if (payload_delta != 0) {
-      payload_geometry_.update_state(cell.payload, payload_coord,
-                                     payload_delta);
-    }
-    if (cell.is_zero()) cells_.erase(it);
-  }
-}
-
-void LinearKeyValueSketch::update_staged(std::uint64_t key,
-                                         std::int64_t key_delta,
-                                         std::uint64_t payload_coord,
-                                         std::int64_t payload_delta) {
-  const std::size_t payload_rows = payload_geometry_.rows();
-  if (payload_rows > kMaxStagedRows ||
-      key_bytes_ > FingerprintBasis::kPowBytes ||
-      payload_bytes_ > FingerprintBasis::kPowBytes) {
-    update(key, key_delta, payload_coord, payload_delta);
-    return;
-  }
-  if (key >= config_.max_key) {
-    throw std::out_of_range("kv sketch key out of range");
-  }
-  if (key_delta == 0 && payload_delta == 0) return;
-  if (cells_.empty()) {
-    cells_.reserve(std::min<std::size_t>(config_.tables * config_.capacity,
-                                         kFirstTouchReserve));
-  }
-  // Stage once what update() recomputes per cell: the key term pair (one
-  // radix-256 walk instead of one per table), the payload term pair (one
-  // instead of one per table per payload row), and the payload row buckets
-  // (identical for every table).
-  std::uint64_t kt1 = 0;
-  std::uint64_t kt2 = 0;
-  if (key_delta != 0) {
-    key_basis_.pow_pair_bytes(key + 1, key_bytes_, &kt1, &kt2);
-    const std::uint64_t df = field_from_signed(key_delta);
-    if (df != 1) {
-      kt1 = field_mul(df, kt1);
-      kt2 = field_mul(df, kt2);
-    }
-  }
-  std::uint64_t pt1 = 0;
-  std::uint64_t pt2 = 0;
-  std::uint32_t pcell[kMaxStagedRows] = {0, 0, 0, 0};
-  if (payload_delta != 0) {
-    if (payload_coord >= config_.max_payload_coord) {
-      throw std::out_of_range("sparse recovery coordinate out of range");
-    }
-    payload_geometry_.basis().pow_pair_bytes(payload_coord + 1, payload_bytes_,
-                                             &pt1, &pt2);
-    const std::uint64_t df = field_from_signed(payload_delta);
-    if (df != 1) {
-      pt1 = field_mul(df, pt1);
-      pt2 = field_mul(df, pt2);
-    }
-    for (std::size_t row = 0; row < payload_rows; ++row) {
-      pcell[row] = static_cast<std::uint32_t>(
-          payload_geometry_.cell_index(row, payload_coord));
-    }
-  }
-  for (std::size_t t = 0; t < config_.tables; ++t) {
-    const std::uint64_t s = slot(t, key);
-    auto it = cells_.find(s);
-    if (it == cells_.end()) it = cells_.emplace(s, make_cell()).first;
-    Cell& cell = it->second;
-    if (key_delta != 0) {
-      cell.key_part.add_term(key, key_delta, kt1, kt2);
-    }
-    if (payload_delta != 0) {
-      for (std::size_t row = 0; row < payload_rows; ++row) {
-        cell.payload[pcell[row]].add_term(payload_coord, payload_delta, pt1,
-                                          pt2);
-      }
-    }
-    if (cell.is_zero()) cells_.erase(it);
-  }
-}
-
-void LinearKeyValueSketch::merge(const LinearKeyValueSketch& other,
-                                 std::int64_t sign) {
-  if (other.config_.seed != config_.seed ||
-      other.config_.max_key != config_.max_key ||
-      other.cells_per_table_ != cells_per_table_ ||
-      other.config_.tables != config_.tables) {
-    throw std::invalid_argument("merging incompatible kv sketches");
-  }
-  for (const auto& [slot_id, cell] : other.cells_) {
-    auto it = cells_.find(slot_id);
-    if (it == cells_.end()) it = cells_.emplace(slot_id, make_cell()).first;
-    Cell& mine = it->second;
-    mine.key_part.merge(cell.key_part, sign);
-    for (std::size_t i = 0; i < mine.payload.size(); ++i) {
-      mine.payload[i].merge(cell.payload[i], sign);
-    }
-    if (mine.is_zero()) cells_.erase(it);
-  }
-}
-
-bool LinearKeyValueSketch::is_zero() const noexcept {
-  return std::all_of(cells_.begin(), cells_.end(),
-                     [](const auto& kv) { return kv.second.is_zero(); });
-}
-
-std::optional<std::vector<KvEntry>> LinearKeyValueSketch::decode() const {
-  // Peeling WITHOUT copying the stored cell map: `peeled` is a sparse
-  // overlay of everything subtracted so far (at most tables * recovered-keys
-  // cells), and each stored cell's effective state is materialized lazily as
-  // stored - peeled.  The old implementation deep-copied every touched cell
-  // (payload vectors included) before the first peel.
-  std::unordered_map<std::uint64_t, Cell> peeled;
-  peeled.reserve(cells_.size());  // <= one overlay cell per touched cell
-  std::vector<KvEntry> found;
-
-  const auto cell_at = [](const std::unordered_map<std::uint64_t, Cell>& m,
-                          std::uint64_t slot_id) -> const Cell* {
-    const auto it = m.find(slot_id);
-    return it == m.end() ? nullptr : &it->second;
-  };
-
-  // Effective key detector at `slot_id`: stored (absent = zero) minus
-  // peeled.  One 4-word cell, no payload copy -- classification during the
-  // scan never needs the payload.
-  const auto effective_key = [&](std::uint64_t slot_id) -> OneSparseCell {
-    OneSparseCell key;
-    if (const Cell* stored = cell_at(cells_, slot_id)) key = stored->key_part;
-    if (const Cell* sub = cell_at(peeled, slot_id)) {
-      key.merge(sub->key_part, -1);
-    }
-    return key;
-  };
-
-  // Candidate slots: every stored cell, plus overlay-only slots (a stored
-  // cell can vanish to zero mid-stream and be erased while a later peel
-  // still subtracts there).  fn returning false stops the sweep early.
-  const auto for_each_candidate = [&](const auto& fn) {
-    for (const auto& [slot_id, cell] : cells_) {
-      (void)cell;
-      if (!fn(slot_id)) return false;
-    }
-    for (const auto& [slot_id, cell] : peeled) {
-      (void)cell;
-      if (cells_.find(slot_id) == cells_.end() && !fn(slot_id)) return false;
-    }
-    return true;
-  };
-
-  // Peeling: find a cell whose key detector verifies one-sparse, record
-  // (key, count, payload), subtract from all tables, repeat.
-  while (true) {
-    std::optional<KvEntry> next;
-    for_each_candidate([&](std::uint64_t slot_id) {
-      const OneSparseCell key = effective_key(slot_id);
-      Recovered rec;
-      if (key.count != 0 &&
-          classify_cell(key, config_.max_key, key_basis_, &rec) ==
-              CellState::kOneSparse) {
-        KvEntry entry;
-        entry.key = rec.coord;
-        entry.key_count = rec.value;
-        // Materialize the effective payload only for the recovered entry
-        // (it is the output, so this copy is unavoidable).
-        if (const Cell* stored = cell_at(cells_, slot_id)) {
-          entry.payload = stored->payload;
-        } else {
-          entry.payload = make_cell().payload;
-        }
-        if (const Cell* sub = cell_at(peeled, slot_id)) {
-          for (std::size_t i = 0; i < entry.payload.size(); ++i) {
-            entry.payload[i].merge(sub->payload[i], -1);
-          }
-        }
-        next = std::move(entry);
-        return false;  // stop scanning, peel it
-      }
-      return true;
-    });
-    if (!next.has_value()) break;
-
-    // Record the subtraction at every table position of the key.
-    for (std::size_t t = 0; t < config_.tables; ++t) {
-      const std::uint64_t s = slot(t, next->key);
-      auto it = peeled.find(s);
-      if (it == peeled.end()) it = peeled.emplace(s, make_cell()).first;
-      it->second.key_part.add(next->key, next->key_count, key_basis_);
-      for (std::size_t i = 0; i < it->second.payload.size(); ++i) {
-        it->second.payload[i].merge(next->payload[i], 1);
-      }
-    }
-    found.push_back(std::move(*next));
-  }
-
-  // Residual check: every candidate's effective state (key AND payload)
-  // must be zero, else the table was overloaded.
-  const auto effectively_zero = [&](std::uint64_t slot_id) {
-    if (!effective_key(slot_id).is_zero()) return false;
-    const Cell* stored = cell_at(cells_, slot_id);
-    const Cell* sub = cell_at(peeled, slot_id);
-    const std::size_t payload_cells = payload_geometry_.cell_count();
-    for (std::size_t i = 0; i < payload_cells; ++i) {
-      OneSparseCell c;
-      if (stored != nullptr) c = stored->payload[i];
-      if (sub != nullptr) c.merge(sub->payload[i], -1);
-      if (!c.is_zero()) return false;
-    }
-    return true;
-  };
-  const bool clean = for_each_candidate(effectively_zero);
-  if (!clean) return std::nullopt;
-
-  std::sort(found.begin(), found.end(),
-            [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
-  // Defensive fold of duplicates (possible only under fingerprint collision).
-  std::vector<KvEntry> out;
-  for (auto& e : found) {
-    if (!out.empty() && out.back().key == e.key) {
-      out.back().key_count += e.key_count;
-      for (std::size_t i = 0; i < out.back().payload.size(); ++i) {
-        out.back().payload[i].merge(e.payload[i], 1);
-      }
-    } else {
-      out.push_back(std::move(e));
-    }
-  }
-  return out;
-}
-
-std::optional<std::vector<Recovered>> LinearKeyValueSketch::decode_payload(
-    const KvEntry& entry) const {
-  return payload_geometry_.decode_state(entry.payload);
-}
-
-std::size_t LinearKeyValueSketch::nominal_bytes() const noexcept {
-  const std::size_t cell_bytes =
-      sizeof(OneSparseCell) * (1 + payload_geometry_.cell_count());
-  return config_.tables * cells_per_table_ * cell_bytes +
-         sizeof(LinearKvConfig);
-}
-
-std::size_t LinearKeyValueSketch::touched_bytes() const noexcept {
-  const std::size_t cell_bytes =
-      sizeof(OneSparseCell) * (1 + payload_geometry_.cell_count());
-  return cells_.size() * cell_bytes + sizeof(LinearKvConfig);
 }
 
 }  // namespace kw

@@ -2,28 +2,28 @@
 /// mergeable sketch of a key -> payload-sketch map using O(capacity * B log n)
 /// words, decodable when at most ~capacity distinct keys are live (Claim 11).
 ///
-/// A linear sketch of a key -> payload-sketch map: each update carries a key,
-/// a signed key-count delta, and a payload contribution ("add SKETCH(delta*a)
-/// to the b-th entry of H^u_j" in Algorithm 2).  Implementation: `tables`
-/// independent hash tables of cells; a cell holds a one-sparse detector over
-/// *keys* plus an embedded SKETCH_B state over payload coordinates.
-/// Decoding peels cells whose key detector verifies as one-sparse: that
-/// certifies every update in the cell shares one key, so the cell's embedded
-/// payload sketch is that key's complete payload; the recovered pair is then
-/// subtracted from the other tables.
+/// Each update carries a key, a signed key-count delta, and a payload
+/// contribution ("add SKETCH(delta*a) to the b-th entry of H^u_j" in
+/// Algorithm 2).  A table is `tables` independent hash tables of cells; a
+/// cell holds a one-sparse detector over *keys* plus an embedded SKETCH_B
+/// state over payload coordinates.  Decoding peels cells whose key detector
+/// verifies as one-sparse: that certifies every update in the cell shares
+/// one key, so the cell's embedded payload sketch is that key's complete
+/// payload; the recovered pair is then subtracted from the other tables.
 ///
 /// Everything is component-wise additive (field arithmetic for fingerprints),
-/// so sketches with equal (capacity, geometry, seed) merge exactly --
-/// linearity.  Storage is hash-map-backed: memory is proportional to touched
-/// cells while nominal_bytes() reports the dense size a streaming device
-/// would allocate.
+/// so tables with equal (capacity, geometry, seed) merge exactly --
+/// linearity.  KvTableBank is the one implementation: a row of such tables
+/// sharing a KvBankGeometry, one per level.  The two-pass spanner keeps a
+/// bank per terminal (levels j = 0..), MultipassSpanner a one-level bank per
+/// vertex.  Storage is proportional to touched cells while
+/// nominal_bytes() reports the dense size a streaming device would allocate.
 #ifndef KW_SKETCH_LINEAR_KV_SKETCH_H
 #define KW_SKETCH_LINEAR_KV_SKETCH_H
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "serialize/serialize_fwd.h"
@@ -157,12 +157,12 @@ class KvBankGeometry {
 
 // A ROW of `levels` independent key -> payload-sketch maps sharing ONE
 // geometry (key basis, payload geometry, table hashes -- one seed for the
-// whole row).  This is the fleet form of LinearKeyValueSketch used by the
-// two-pass spanner's pass 2: the H^u_j tables of one terminal u are only
-// ever updated together for a contiguous level prefix j = 0..jmax ("add
-// SKETCH(delta*a) to the b-th entry of H^u_j for every surviving Y_j"), so
-// sharing the geometry across j turns per-(level, table) hashing + term
-// walks + map probes into ONE staged computation per update side:
+// whole row).  The two-pass spanner's pass 2 keeps one per terminal: the
+// H^u_j tables of one terminal u are only ever updated together for a
+// contiguous level prefix j = 0..jmax ("add SKETCH(delta*a) to the b-th
+// entry of H^u_j for every surviving Y_j"), so sharing the geometry across
+// j turns per-(level, table) hashing + term walks + map probes into ONE
+// staged computation per update side:
 //
 //   * key term pair: one radix walk (was one per level per table),
 //   * payload term pair + row buckets: one (was one per level),
@@ -231,13 +231,13 @@ class KvTableBank {
 
   // Decodes EVERY level in one deepest-first sweep -- the order Algorithm 2
   // reads H^u_j in, sparsest level first.  on_level(j, entries) runs for
-  // j = levels() - 1 down to 0 with level j's decode under the contract of
-  // LinearKeyValueSketch::decode(): the key -> (count, payload) map sorted
-  // by key, or nullopt when the level is overloaded.  Returns the bank's
+  // j = levels() - 1 down to 0 with level j's decode: the key -> (count,
+  // payload) map sorted by key, or nullopt when the level is overloaded.
+  // Keys whose state cancelled to zero do not appear.  Returns the bank's
   // touched bytes, counted in the same sweep: LIVE (slot, level) cells only,
-  // matching the historical per-level erase-at-zero maps, so a level whose
-  // state cancelled to zero costs nothing.  Scratch is local to the call, so
-  // distinct banks decode concurrently.
+  // matching per-level erase-at-zero maps, so a level whose state cancelled
+  // to zero costs nothing.  Scratch is local to the call, so distinct banks
+  // decode concurrently.
   using LevelVisitor = std::function<void(
       std::size_t level, const std::optional<std::vector<KvEntry>>& entries)>;
   std::size_t decode_levels(const LevelVisitor& on_level) const;
@@ -322,87 +322,6 @@ class KvTableBank {
   std::vector<std::uint32_t> ht_index_;
   std::vector<Entry> entries_;
   CellArena arena_;  // every entry's cell block, one contiguous store
-};
-
-class LinearKeyValueSketch {
- public:
-  explicit LinearKeyValueSketch(const LinearKvConfig& config);
-
-  // Applies one update: key count += key_delta, payload sketch gets
-  // (payload_coord, payload_delta).  Either part may be a no-op (delta 0).
-  void update(std::uint64_t key, std::int64_t key_delta,
-              std::uint64_t payload_coord, std::int64_t payload_delta);
-
-  // update() with the per-update randomness staged once: the key
-  // fingerprint term (recomputed per table by update()), the payload
-  // fingerprint term (recomputed per payload row per table by update()),
-  // and the payload row buckets (identical across tables -- they share the
-  // payload geometry) are each computed a single time and reused by every
-  // cell the update lands in.  Power walks ride the radix-256 tables
-  // (pow_pair_bytes) instead of per-set-bit square chains.  The final
-  // sketch state is bit-identical to update() -- same field arithmetic,
-  // same cells, same erase-at-zero behavior -- which the fused-spanner
-  // golden tests pin.  Falls back to update() for payload_rows beyond the
-  // staged fast path.
-  void update_staged(std::uint64_t key, std::int64_t key_delta,
-                     std::uint64_t payload_coord, std::int64_t payload_delta);
-
-  // this += sign * other (same configuration required).
-  void merge(const LinearKeyValueSketch& other, std::int64_t sign = 1);
-
-  // Recovers the full key -> (count, payload) map, or nullopt when the
-  // table is overloaded / a verification failed.  Keys whose entire state
-  // cancelled to zero do not appear.  Sorted by key.
-  [[nodiscard]] std::optional<std::vector<KvEntry>> decode() const;
-
-  // Decodes a recovered entry's embedded payload sketch (exact support of
-  // the payload vector, or nullopt if it exceeded the payload budget).
-  [[nodiscard]] std::optional<std::vector<Recovered>> decode_payload(
-      const KvEntry& entry) const;
-
-  [[nodiscard]] bool is_zero() const noexcept;
-
-  [[nodiscard]] std::size_t nominal_bytes() const noexcept;
-
-  // Actual memory held by the map-backed storage (proportional to touched
-  // cells; a real streaming device would allocate nominal_bytes()).
-  [[nodiscard]] std::size_t touched_bytes() const noexcept;
-
-  [[nodiscard]] const LinearKvConfig& config() const noexcept {
-    return config_;
-  }
-
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
-  // Full form: config validation header + state.  The state-only pair
-  // exists for fleet owners (TwoPassSpanner / MultipassSpanner tables)
-  // whose table configs are re-derived from their own seed chain.
-  void serialize(ser::Writer& w) const;
-  void deserialize(ser::Reader& r);
-  void serialize_state(ser::Writer& w) const;
-  void deserialize_state(ser::Reader& r);
-
- private:
-  struct Cell {
-    OneSparseCell key_part;
-    std::vector<OneSparseCell> payload;
-
-    [[nodiscard]] bool is_zero() const noexcept;
-  };
-
-  [[nodiscard]] std::uint64_t slot(std::size_t table, std::uint64_t key) const;
-  [[nodiscard]] Cell make_cell() const;
-
-  static constexpr std::size_t kMaxStagedRows = 4;
-
-  LinearKvConfig config_;
-  std::size_t cells_per_table_;
-  std::size_t key_bytes_ = 1;      // radix-256 digits covering key + 1
-  std::size_t payload_bytes_ = 1;  // radix-256 digits covering coord + 1
-  FingerprintBasis key_basis_;
-  SparseRecoverySketch payload_geometry_;  // zero sketch: hashes/basis only
-  HashFamily table_hashes_;
-  // Sparse storage: slot id (table * cells_per_table + cell) -> cell.
-  std::unordered_map<std::uint64_t, Cell> cells_;
 };
 
 }  // namespace kw

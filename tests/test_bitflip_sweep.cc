@@ -24,7 +24,6 @@
 #include "serialize/serialize.h"
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/linear_kv_sketch.h"
 #include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
@@ -104,20 +103,6 @@ TEST(BitflipSweep, DistinctElements) {
   DistinctElementsSketch a(config);
   for (std::uint64_t c = 0; c < 200; ++c) a.update(c * 11 % 4096, 1);
   DistinctElementsSketch b(config);
-  sweep_bitflips(a, b);
-}
-
-TEST(BitflipSweep, LinearKv) {
-  LinearKvConfig config;
-  config.max_key = 1 << 16;
-  config.max_payload_coord = 1 << 10;
-  config.capacity = 16;
-  config.seed = 23;
-  LinearKeyValueSketch a(config);
-  for (std::uint64_t k = 0; k < 24; ++k) {
-    a.update(k * 997 % (1 << 16), 1, (k * 13) % (1 << 10), 1);
-  }
-  LinearKeyValueSketch b(config);
   sweep_bitflips(a, b);
 }
 

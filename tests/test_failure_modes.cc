@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "core/additive_spanner.h"
 #include "core/two_pass_spanner.h"
@@ -86,20 +88,28 @@ TEST(FailureModes, KvOverloadReportsFailureNotGarbage) {
     config.max_payload_coord = 1 << 16;
     config.capacity = 8;
     config.seed = 3000 + seed;
-    LinearKeyValueSketch sketch(config);
     Rng rng(seed);
     std::set<std::uint64_t> keys;
     // 2x..20x overload.
     const std::size_t count = 16 + rng.next_below(145);
     while (keys.size() < count) keys.insert(rng.next_below(1 << 16));
-    for (const auto k : keys) sketch.update(k, 1, k % 512, 1);
-    const auto decoded = sketch.decode();
-    if (!decoded.has_value()) continue;  // detected: fine
-    // If it *did* decode (possible near 2x), it must be exactly right.
-    ASSERT_EQ(decoded->size(), keys.size());
-    for (const auto& entry : *decoded) {
-      EXPECT_TRUE(keys.contains(entry.key));
-      EXPECT_EQ(entry.key_count, 1);
+    // One level (MultipassSpanner's table) and several (a two-pass H^u_j
+    // row, keys spread over the level prefixes): level 0 holds every key.
+    for (const std::size_t levels : {std::size_t{1}, std::size_t{4}}) {
+      KvTableBank bank(config, levels);
+      for (const auto k : keys) bank.update(k, 1, k % 512, 1, k % levels);
+      std::optional<std::vector<KvEntry>> decoded;
+      (void)bank.decode_levels(
+          [&](std::size_t j, const std::optional<std::vector<KvEntry>>& got) {
+            if (j == 0) decoded = got;
+          });
+      if (!decoded.has_value()) continue;  // detected: fine
+      // If it *did* decode (possible near 2x), it must be exactly right.
+      ASSERT_EQ(decoded->size(), keys.size());
+      for (const auto& entry : *decoded) {
+        EXPECT_TRUE(keys.contains(entry.key));
+        EXPECT_EQ(entry.key_count, 1);
+      }
     }
   }
 }

@@ -7,10 +7,10 @@
 #include <map>
 #include <set>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "reference/linear_kv_reference.h"
 #include "serialize/binary_io.h"
 #include "util/random.h"
 
@@ -31,46 +31,78 @@ namespace {
   return c;
 }
 
+// ---- Claim 11 on KvTableBank ---------------------------------------------
+//
+// Each property runs on a one-level bank (MultipassSpanner's per-vertex
+// table) and on a four-level one (a two-pass terminal's H^u_j row).  put()
+// writes an update to levels 0..key % levels, so level 0 holds every update
+// and, with several levels, its value is a suffix sum over several stored
+// rows; the properties are checked on level 0.
+
+constexpr std::size_t kLevelCounts[] = {1, 4};
+
+void put(KvTableBank& bank, std::uint64_t key, std::int64_t key_delta,
+         std::uint64_t payload_coord, std::int64_t payload_delta) {
+  bank.update(key, key_delta, payload_coord, payload_delta,
+              key % bank.levels());
+}
+
+[[nodiscard]] std::optional<std::vector<KvEntry>> decode_level0(
+    const KvTableBank& bank) {
+  std::optional<std::vector<KvEntry>> level0;
+  (void)bank.decode_levels(
+      [&](std::size_t j, const std::optional<std::vector<KvEntry>>& got) {
+        if (j == 0) level0 = got;
+      });
+  return level0;
+}
+
 TEST(LinearKv, EmptyDecodesEmpty) {
-  const LinearKeyValueSketch sketch(make_config(16, 1));
-  const auto decoded = sketch.decode();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
-  EXPECT_TRUE(sketch.is_zero());
+  for (const std::size_t levels : kLevelCounts) {
+    const KvTableBank bank(make_config(16, 1), levels);
+    const auto decoded = decode_level0(bank);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(decoded->empty());
+    EXPECT_TRUE(bank.is_zero());
+  }
 }
 
 TEST(LinearKv, SingleKeySingleNeighbor) {
-  LinearKeyValueSketch sketch(make_config(16, 2));
-  sketch.update(/*key=*/42, 1, /*payload_coord=*/7, 1);
-  const auto decoded = sketch.decode();
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  EXPECT_EQ((*decoded)[0].key, 42u);
-  EXPECT_EQ((*decoded)[0].key_count, 1);
-  const auto payload = sketch.decode_payload((*decoded)[0]);
-  ASSERT_TRUE(payload.has_value());
-  ASSERT_EQ(payload->size(), 1u);
-  EXPECT_EQ((*payload)[0].coord, 7u);
-  EXPECT_EQ((*payload)[0].value, 1);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(16, 2), levels);
+    put(bank, /*key=*/42, 1, /*payload_coord=*/7, 1);
+    const auto decoded = decode_level0(bank);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_EQ((*decoded)[0].key, 42u);
+    EXPECT_EQ((*decoded)[0].key_count, 1);
+    const auto payload = bank.decode_payload((*decoded)[0]);
+    ASSERT_TRUE(payload.has_value());
+    ASSERT_EQ(payload->size(), 1u);
+    EXPECT_EQ((*payload)[0].coord, 7u);
+    EXPECT_EQ((*payload)[0].value, 1);
+  }
 }
 
 TEST(LinearKv, ManyKeysRecovered) {
-  LinearKeyValueSketch sketch(make_config(64, 3));
   std::map<std::uint64_t, std::uint64_t> truth;  // key -> single neighbor
   Rng rng(4);
   while (truth.size() < 50) {
     truth[rng.next_below(1 << 16)] = rng.next_below(1 << 16);
   }
-  for (const auto& [key, nb] : truth) sketch.update(key, 1, nb, 1);
-  const auto decoded = sketch.decode();
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), truth.size());
-  for (const auto& entry : *decoded) {
-    ASSERT_TRUE(truth.contains(entry.key));
-    const auto payload = sketch.decode_payload(entry);
-    ASSERT_TRUE(payload.has_value());
-    ASSERT_EQ(payload->size(), 1u);
-    EXPECT_EQ((*payload)[0].coord, truth[entry.key]);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(64, 3), levels);
+    for (const auto& [key, nb] : truth) put(bank, key, 1, nb, 1);
+    const auto decoded = decode_level0(bank);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), truth.size());
+    for (const auto& entry : *decoded) {
+      ASSERT_TRUE(truth.contains(entry.key));
+      const auto payload = bank.decode_payload(entry);
+      ASSERT_TRUE(payload.has_value());
+      ASSERT_EQ(payload->size(), 1u);
+      EXPECT_EQ((*payload)[0].coord, truth[entry.key]);
+    }
   }
 }
 
@@ -79,137 +111,116 @@ TEST(LinearKv, MultiNeighborPayloadWithinBudget) {
   // IBLT stuck-configuration probability); callers retry across sampling
   // levels.  Statistically: decode must succeed for nearly all seeds and,
   // when it succeeds, must be exactly right.
-  int successes = 0;
-  constexpr int kTrials = 50;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    LinearKeyValueSketch sketch(make_config(16, 500 + trial));
-    sketch.update(9, 1, 100, 1);
-    sketch.update(9, 1, 200, 1);
-    sketch.update(9, 1, 300, 1);
-    const auto decoded = sketch.decode();
-    ASSERT_TRUE(decoded.has_value());
-    ASSERT_EQ(decoded->size(), 1u);
-    EXPECT_EQ((*decoded)[0].key_count, 3);
-    const auto payload = sketch.decode_payload((*decoded)[0]);
-    if (!payload.has_value()) continue;
-    std::set<std::uint64_t> coords;
-    for (const auto& rec : *payload) coords.insert(rec.coord);
-    ASSERT_EQ(coords, (std::set<std::uint64_t>{100, 200, 300}));
-    ++successes;
+  for (const std::size_t levels : kLevelCounts) {
+    int successes = 0;
+    constexpr int kTrials = 50;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      KvTableBank bank(make_config(16, 500 + trial), levels);
+      put(bank, 9, 1, 100, 1);
+      put(bank, 9, 1, 200, 1);
+      put(bank, 9, 1, 300, 1);
+      const auto decoded = decode_level0(bank);
+      ASSERT_TRUE(decoded.has_value());
+      ASSERT_EQ(decoded->size(), 1u);
+      EXPECT_EQ((*decoded)[0].key_count, 3);
+      const auto payload = bank.decode_payload((*decoded)[0]);
+      if (!payload.has_value()) continue;
+      std::set<std::uint64_t> coords;
+      for (const auto& rec : *payload) coords.insert(rec.coord);
+      ASSERT_EQ(coords, (std::set<std::uint64_t>{100, 200, 300}));
+      ++successes;
+    }
+    EXPECT_GE(successes, kTrials - 4);
   }
-  EXPECT_GE(successes, kTrials - 4);
 }
 
 TEST(LinearKv, PayloadOverBudgetDetected) {
-  LinearKeyValueSketch sketch(make_config(16, 6));
-  for (std::uint64_t i = 0; i < 40; ++i) sketch.update(9, 1, 100 + i, 1);
-  const auto decoded = sketch.decode();
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  EXPECT_FALSE(sketch.decode_payload((*decoded)[0]).has_value());
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(16, 6), levels);
+    for (std::uint64_t i = 0; i < 40; ++i) put(bank, 9, 1, 100 + i, 1);
+    const auto decoded = decode_level0(bank);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_FALSE(bank.decode_payload((*decoded)[0]).has_value());
+  }
 }
 
 TEST(LinearKv, InsertDeleteCancelsEntirely) {
-  LinearKeyValueSketch sketch(make_config(16, 7));
-  sketch.update(5, 1, 50, 1);
-  sketch.update(6, 1, 60, 1);
-  sketch.update(5, -1, 50, -1);
-  const auto decoded = sketch.decode();
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  EXPECT_EQ((*decoded)[0].key, 6u);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(16, 7), levels);
+    put(bank, 5, 1, 50, 1);
+    put(bank, 6, 1, 60, 1);
+    put(bank, 5, -1, 50, -1);
+    const auto decoded = decode_level0(bank);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_EQ((*decoded)[0].key, 6u);
+  }
 }
 
 TEST(LinearKv, OverloadDetectedNotMisdecoded) {
-  LinearKeyValueSketch sketch(make_config(8, 8));
   Rng rng(9);
   // 40x the capacity: decode must refuse.
   std::set<std::uint64_t> keys;
   while (keys.size() < 320) keys.insert(rng.next_below(1 << 16));
-  for (const auto k : keys) sketch.update(k, 1, 1, 1);
-  EXPECT_FALSE(sketch.decode().has_value());
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(8, 8), levels);
+    for (const auto k : keys) put(bank, k, 1, 1, 1);
+    EXPECT_FALSE(decode_level0(bank).has_value());
+  }
 }
 
 TEST(LinearKv, MergeCombinesAcrossInstances) {
   const auto config = make_config(32, 10);
-  LinearKeyValueSketch a(config);
-  LinearKeyValueSketch b(config);
-  a.update(1, 1, 10, 1);
-  b.update(2, 1, 20, 1);
-  b.update(1, 1, 11, 1);
-  a.merge(b, 1);
-  const auto decoded = a.decode();
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[0].key, 1u);
-  EXPECT_EQ((*decoded)[0].key_count, 2);
-  const auto payload = a.decode_payload((*decoded)[0]);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(payload->size(), 2u);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank a(config, levels);
+    KvTableBank b(config, levels);
+    put(a, 1, 1, 10, 1);
+    put(b, 2, 1, 20, 1);
+    put(b, 1, 1, 11, 1);
+    a.merge(b, 1);
+    const auto decoded = decode_level0(a);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), 2u);
+    EXPECT_EQ((*decoded)[0].key, 1u);
+    EXPECT_EQ((*decoded)[0].key_count, 2);
+    const auto payload = a.decode_payload((*decoded)[0]);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(payload->size(), 2u);
+  }
 }
 
 TEST(LinearKv, MergeSubtractGivesZero) {
   const auto config = make_config(32, 11);
-  LinearKeyValueSketch a(config);
-  LinearKeyValueSketch b(config);
-  for (std::uint64_t k = 0; k < 20; ++k) {
-    a.update(k, 1, k + 1000, 1);
-    b.update(k, 1, k + 1000, 1);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank a(config, levels);
+    KvTableBank b(config, levels);
+    for (std::uint64_t k = 0; k < 20; ++k) {
+      put(a, k, 1, k + 1000, 1);
+      put(b, k, 1, k + 1000, 1);
+    }
+    a.merge(b, -1);
+    EXPECT_TRUE(a.is_zero());
   }
-  a.merge(b, -1);
-  EXPECT_TRUE(a.is_zero());
 }
 
 TEST(LinearKv, IncompatibleMergeThrows) {
-  LinearKeyValueSketch a(make_config(8, 1));
-  LinearKeyValueSketch b(make_config(8, 2));
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank a(make_config(8, 1), levels);
+    KvTableBank b(make_config(8, 2), levels);
+    EXPECT_THROW(a.merge(b), std::invalid_argument);
+  }
+  KvTableBank one(make_config(8, 1), 1);
+  KvTableBank four(make_config(8, 1), 4);
+  EXPECT_THROW(one.merge(four), std::invalid_argument);
 }
 
 TEST(LinearKv, KeyOutOfRangeThrows) {
-  LinearKeyValueSketch sketch(make_config(8, 1));
-  EXPECT_THROW(sketch.update(1 << 16, 1, 0, 1), std::out_of_range);
-  EXPECT_THROW(sketch.update_staged(1 << 16, 1, 0, 1), std::out_of_range);
-}
-
-TEST(LinearKv, StagedUpdateMatchesScalarUpdateExactly) {
-  // update_staged() computes the key/payload fingerprint terms and payload
-  // row buckets once and fans them out; the resulting sketch state must be
-  // indistinguishable from per-cell update() -- same decode, same touched
-  // cells (the erase-at-zero behavior included), subtract-merge to zero.
-  Rng rng(777);
-  LinearKeyValueSketch scalar(make_config(24, 9));
-  LinearKeyValueSketch staged(make_config(24, 9));
-  std::vector<std::tuple<std::uint64_t, std::int64_t, std::uint64_t,
-                         std::int64_t>> ops;
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t key = rng.next_below(40);
-    const std::uint64_t coord = rng.next_below(64);
-    const auto delta = static_cast<std::int64_t>(1 + rng.next_below(3));
-    ops.emplace_back(key, delta, coord, delta);
+  for (const std::size_t levels : kLevelCounts) {
+    KvTableBank bank(make_config(8, 1), levels);
+    EXPECT_THROW(bank.update(1 << 16, 1, 0, 1, 0), std::out_of_range);
+    EXPECT_THROW(bank.update(0, 1, 0, 1, levels), std::out_of_range);
   }
-  // Interleave cancellations so some cells pass through exact zero.
-  for (int i = 0; i < 400; i += 3) {
-    auto [key, kd, coord, pd] = ops[i];
-    ops.emplace_back(key, -kd, coord, -pd);
-  }
-  for (const auto& [key, kd, coord, pd] : ops) {
-    scalar.update(key, kd, coord, pd);
-    staged.update_staged(key, kd, coord, pd);
-  }
-  EXPECT_EQ(scalar.touched_bytes(), staged.touched_bytes());
-  const auto ds = scalar.decode();
-  const auto dt = staged.decode();
-  ASSERT_TRUE(ds.has_value());
-  ASSERT_TRUE(dt.has_value());
-  ASSERT_EQ(ds->size(), dt->size());
-  for (std::size_t i = 0; i < ds->size(); ++i) {
-    EXPECT_EQ((*ds)[i].key, (*dt)[i].key);
-    EXPECT_EQ((*ds)[i].key_count, (*dt)[i].key_count);
-  }
-  // Subtract-merge must cancel to exactly zero: cell-level bit identity.
-  staged.merge(scalar, -1);
-  EXPECT_TRUE(staged.is_zero());
 }
 
 // Load sweep: at or below capacity decode succeeds nearly always.
@@ -217,34 +228,50 @@ class KvLoad : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KvLoad, DecodableAtCapacity) {
   const std::size_t keys = GetParam();
-  int success = 0;
-  constexpr int kTrials = 10;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    LinearKeyValueSketch sketch(make_config(keys, 500 + trial));
-    Rng rng(trial);
-    std::set<std::uint64_t> chosen;
-    while (chosen.size() < keys) chosen.insert(rng.next_below(1 << 16));
-    for (const auto k : chosen) sketch.update(k, 1, k % 1000, 1);
-    const auto decoded = sketch.decode();
-    if (!decoded.has_value()) continue;
-    ASSERT_EQ(decoded->size(), keys);
-    ++success;
+  for (const std::size_t levels : kLevelCounts) {
+    int success = 0;
+    constexpr int kTrials = 10;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      KvTableBank bank(make_config(keys, 500 + trial), levels);
+      Rng rng(trial);
+      std::set<std::uint64_t> chosen;
+      while (chosen.size() < keys) chosen.insert(rng.next_below(1 << 16));
+      for (const auto k : chosen) put(bank, k, 1, k % 1000, 1);
+      const auto decoded = decode_level0(bank);
+      if (!decoded.has_value()) continue;
+      ASSERT_EQ(decoded->size(), keys);
+      ++success;
+    }
+    EXPECT_GE(success, kTrials - 1) << levels << " levels";
   }
-  EXPECT_GE(success, kTrials - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(CapacitySweep, KvLoad,
                          ::testing::Values(4, 16, 64, 256));
 
+TEST(KvTableBank, RejectsSpacesBeyondThePowerTables) {
+  // Keys and payload coordinates ride radix-256 power tables of
+  // FingerprintBasis::kPowBytes (6) digits: exponents (coordinate + 1)
+  // below 2^48.
+  LinearKvConfig config = make_config(8, 1);
+  config.max_payload_coord = (std::uint64_t{1} << 48) - 1;
+  EXPECT_NO_THROW(KvTableBank(config, 1));
+  config.max_payload_coord = std::uint64_t{1} << 48;
+  EXPECT_THROW(KvTableBank(config, 1), std::invalid_argument);
+  config = make_config(8, 1);
+  config.max_key = std::uint64_t{1} << 48;
+  EXPECT_THROW(KvTableBank(config, 1), std::invalid_argument);
+}
+
 // ---- KvTableBank vs an independent per-level reference -------------------
 //
 // A KvTableBank stores level diffs and decodes every level in one
-// deepest-first sweep; LinearKeyValueSketch keeps one plain table per level
-// and decodes it on its own.  Fed the same updates -- level j of the bank
-// sees exactly the updates with jmax >= j -- and built from the same seed
-// chain (so they share key basis, payload geometry and table hashes), the
-// two must decode identical KvEntry lists and fail on the same overloaded
-// levels.  The touched-bytes count the sweep returns must equal the
+// deepest-first sweep; the test-only LinearKeyValueSketch keeps one plain
+// table per level and decodes it on its own.  Fed the same updates -- level
+// j of the bank sees exactly the updates with jmax >= j -- and built from
+// the same seed chain (so they share key basis, payload geometry and table
+// hashes), the two must decode identical KvEntry lists and fail on the same
+// overloaded levels.  The touched-bytes count the sweep returns must equal the
 // reference's live cells summed over levels.
 
 struct BankOp {

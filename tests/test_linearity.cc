@@ -127,20 +127,25 @@ TEST_P(LinearitySeeds, KvSketchIsLinear) {
   config.max_payload_coord = 1 << 12;
   config.capacity = 32;
   config.seed = seed;
-  Rng rng(seed * 11 + 3);
-  LinearKeyValueSketch combined(config);
-  LinearKeyValueSketch a(config);
-  LinearKeyValueSketch b(config);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t key = rng.next_below(1 << 12);
-    const std::uint64_t payload = rng.next_below(1 << 12);
-    const std::int64_t delta = rng.next_bernoulli(0.5) ? 1 : -1;
-    combined.update(key, delta, payload, delta);
-    (i % 2 == 0 ? a : b).update(key, delta, payload, delta);
+  // One level (MultipassSpanner's table) and several (a two-pass H^u_j
+  // row), with updates spread over the level prefixes.
+  for (const std::size_t levels : {std::size_t{1}, std::size_t{4}}) {
+    Rng rng(seed * 11 + 3);
+    KvTableBank combined(config, levels);
+    KvTableBank a(config, levels);
+    KvTableBank b(config, levels);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t key = rng.next_below(1 << 12);
+      const std::uint64_t payload = rng.next_below(1 << 12);
+      const std::int64_t delta = rng.next_bernoulli(0.5) ? 1 : -1;
+      const std::size_t jmax = static_cast<std::size_t>(i) % levels;
+      combined.update(key, delta, payload, delta, jmax);
+      (i % 2 == 0 ? a : b).update(key, delta, payload, delta, jmax);
+    }
+    combined.merge(a, -1);
+    combined.merge(b, -1);
+    EXPECT_TRUE(combined.is_zero()) << levels << " levels";
   }
-  combined.merge(a, -1);
-  combined.merge(b, -1);
-  EXPECT_TRUE(combined.is_zero());
 }
 
 TEST_P(LinearitySeeds, AgmSketchIsLinear) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sketch/count_sketch.h"
@@ -209,7 +210,13 @@ TEST(MergeSemantics, CountSketchCommutativeAndAssociative) {
   expect_same_estimates(ab_c, a_bc, updates);
 }
 
-// ---- LinearKeyValueSketch -------------------------------------------------
+// ---- KvTableBank ----------------------------------------------------------
+//
+// Run at one level (MultipassSpanner's per-vertex table) and at several (a
+// two-pass terminal's H^u_j row); updates land on levels 0..key % levels,
+// and every level's decode must agree.
+
+constexpr std::size_t kKvLevelCounts[] = {1, 4};
 
 struct KvUpdate {
   std::uint64_t key;
@@ -244,68 +251,84 @@ struct KvUpdate {
   return updates;
 }
 
-void expect_same_decode(const LinearKeyValueSketch& a,
-                        const LinearKeyValueSketch& b) {
-  const auto da = a.decode();
-  const auto db = b.decode();
-  ASSERT_EQ(da.has_value(), db.has_value());
-  ASSERT_TRUE(da.has_value());
-  ASSERT_EQ(da->size(), db->size());
-  for (std::size_t i = 0; i < da->size(); ++i) {
-    EXPECT_EQ((*da)[i].key, (*db)[i].key);
-    EXPECT_EQ((*da)[i].key_count, (*db)[i].key_count);
-    const auto pa = a.decode_payload((*da)[i]);
-    const auto pb = b.decode_payload((*db)[i]);
-    ASSERT_EQ(pa.has_value(), pb.has_value());
-    if (!pa.has_value()) continue;
-    ASSERT_EQ(pa->size(), pb->size());
-    for (std::size_t j = 0; j < pa->size(); ++j) {
-      EXPECT_EQ((*pa)[j].coord, (*pb)[j].coord);
-      EXPECT_EQ((*pa)[j].value, (*pb)[j].value);
+void put(KvTableBank& bank, const KvUpdate& u) {
+  bank.update(u.key, u.key_delta, u.payload_coord, u.payload_delta,
+              u.key % bank.levels());
+}
+
+[[nodiscard]] std::vector<std::optional<std::vector<KvEntry>>> decode_all(
+    const KvTableBank& bank) {
+  std::vector<std::optional<std::vector<KvEntry>>> levels(bank.levels());
+  (void)bank.decode_levels(
+      [&](std::size_t j, const std::optional<std::vector<KvEntry>>& got) {
+        levels[j] = got;
+      });
+  return levels;
+}
+
+void expect_same_decode(const KvTableBank& a, const KvTableBank& b) {
+  const auto la = decode_all(a);
+  const auto lb = decode_all(b);
+  ASSERT_EQ(la.size(), lb.size());
+  for (std::size_t level = 0; level < la.size(); ++level) {
+    const auto& da = la[level];
+    const auto& db = lb[level];
+    ASSERT_EQ(da.has_value(), db.has_value()) << "level " << level;
+    ASSERT_TRUE(da.has_value()) << "level " << level;
+    ASSERT_EQ(da->size(), db->size()) << "level " << level;
+    for (std::size_t i = 0; i < da->size(); ++i) {
+      EXPECT_EQ((*da)[i].key, (*db)[i].key);
+      EXPECT_EQ((*da)[i].key_count, (*db)[i].key_count);
+      const auto pa = a.decode_payload((*da)[i]);
+      const auto pb = b.decode_payload((*db)[i]);
+      ASSERT_EQ(pa.has_value(), pb.has_value());
+      if (!pa.has_value()) continue;
+      ASSERT_EQ(pa->size(), pb->size());
+      for (std::size_t j = 0; j < pa->size(); ++j) {
+        EXPECT_EQ((*pa)[j].coord, (*pb)[j].coord);
+        EXPECT_EQ((*pa)[j].value, (*pb)[j].value);
+      }
     }
   }
 }
 
 TEST(MergeSemantics, LinearKvShardMergeEqualsSequential) {
   const auto updates = make_kv_updates(31);
-  LinearKeyValueSketch sequential(kv_config(15));
-  for (const auto& u : updates) {
-    sequential.update(u.key, u.key_delta, u.payload_coord, u.payload_delta);
+  for (const std::size_t levels : kKvLevelCounts) {
+    KvTableBank sequential(kv_config(15), levels);
+    for (const auto& u : updates) put(sequential, u);
+    std::vector<KvTableBank> parts(kParts, KvTableBank(kv_config(15), levels));
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      put(parts[i % kParts], updates[i]);
+    }
+    KvTableBank merged = parts[0];
+    for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
+    expect_same_decode(merged, sequential);
   }
-  std::vector<LinearKeyValueSketch> parts(kParts,
-                                          LinearKeyValueSketch(kv_config(15)));
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const auto& u = updates[i];
-    parts[i % kParts].update(u.key, u.key_delta, u.payload_coord,
-                             u.payload_delta);
-  }
-  LinearKeyValueSketch merged = parts[0];
-  for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
-  expect_same_decode(merged, sequential);
 }
 
 TEST(MergeSemantics, LinearKvCommutativeAndAssociative) {
   const auto updates = make_kv_updates(37);
-  std::vector<LinearKeyValueSketch> parts(3,
-                                          LinearKeyValueSketch(kv_config(17)));
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const auto& u = updates[i];
-    parts[i % 3].update(u.key, u.key_delta, u.payload_coord, u.payload_delta);
+  for (const std::size_t levels : kKvLevelCounts) {
+    std::vector<KvTableBank> parts(3, KvTableBank(kv_config(17), levels));
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      put(parts[i % 3], updates[i]);
+    }
+
+    KvTableBank ab = parts[0];
+    ab.merge(parts[1], 1);
+    KvTableBank ba = parts[1];
+    ba.merge(parts[0], 1);
+    KvTableBank ab_c = ab;
+    ab_c.merge(parts[2], 1);
+    KvTableBank bc = parts[1];
+    bc.merge(parts[2], 1);
+    KvTableBank a_bc = parts[0];
+    a_bc.merge(bc, 1);
+
+    expect_same_decode(ab, ba);
+    expect_same_decode(ab_c, a_bc);
   }
-
-  LinearKeyValueSketch ab = parts[0];
-  ab.merge(parts[1], 1);
-  LinearKeyValueSketch ba = parts[1];
-  ba.merge(parts[0], 1);
-  LinearKeyValueSketch ab_c = ab;
-  ab_c.merge(parts[2], 1);
-  LinearKeyValueSketch bc = parts[1];
-  bc.merge(parts[2], 1);
-  LinearKeyValueSketch a_bc = parts[0];
-  a_bc.merge(bc, 1);
-
-  expect_same_decode(ab, ba);
-  expect_same_decode(ab_c, a_bc);
 }
 
 }  // namespace

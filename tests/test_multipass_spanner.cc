@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "serialize/serialize.h"
 
 namespace kw {
 namespace {
@@ -168,6 +171,29 @@ TEST(Multipass, GoldensPinned) {
     EXPECT_EQ(edge_digest(result.spanner), want.digest) << what;
     EXPECT_EQ(result.unrecovered, want.unrecovered) << what;
     EXPECT_EQ(result.nominal_bytes, want.nominal_bytes) << what;
+  }
+}
+
+TEST(Multipass, RejectsCheckpointFromBeforeKvTableBank) {
+  // tests/data/multipass_lkvs_checkpoint.kwsk is a mid-phase-1 checkpoint
+  // written while each vertex's table was a standalone key -> payload
+  // sketch: n = 32, k = 2, seed 5, the first 8 updates of
+  // with_churn(erdos_renyi_gnm(32, 96, 7), 64, 11).  Same envelope version,
+  // but where a one-level KvTableBank stores its level count (1) the old
+  // table stored its payload cell count, so the load must fail loudly.
+  std::ifstream f(KW_SOURCE_DIR "/tests/data/multipass_lkvs_checkpoint.kwsk",
+                  std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  MultipassSpanner spanner(32, make_config(2, 5));
+  try {
+    ser::load_from_bytes(bytes.str(), spanner);
+    FAIL() << "pre-KvTableBank checkpoint loaded";
+  } catch (const ser::SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("KvTableBank levels"),
+              std::string::npos)
+        << e.what();
   }
 }
 

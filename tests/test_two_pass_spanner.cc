@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -398,6 +399,55 @@ TEST(TwoPass, StagedIngestSharesKp12StagingShape) {
                             via_ingest.pass1_cells(1, j)))
         << "page (r=1, j=" << j << ") diverged";
   }
+}
+
+// The row-shared ingest serves nested instances: instance i takes the
+// prefix entries[0, prefixes[i]), and the prefixes never grow along the
+// row.  An increasing prefix is a caller error in either pass.
+[[nodiscard]] std::vector<SpannerBatchEntry> staged_entries(
+    Vertex n, std::vector<std::uint64_t>& ucoords) {
+  std::vector<SpannerBatchEntry> entries;
+  for (Vertex v = 1; v < 5; ++v) {
+    const std::uint64_t coord = pair_id(0, v, n);
+    entries.push_back(
+        {coord, 0, v, static_cast<std::uint32_t>(ucoords.size()), 1});
+    ucoords.push_back(coord);
+  }
+  return entries;
+}
+
+TEST(TwoPass, Pass1IngestRowRejectsIncreasingPrefixes) {
+  const Vertex n = 16;
+  const auto geo = std::make_shared<SpannerGeometry>(n, make_config(2, 5));
+  TwoPassSpanner a(geo);
+  TwoPassSpanner b(geo);
+  TwoPassSpanner* row[] = {&a, &b};
+  std::vector<std::uint64_t> ucoords;
+  const auto entries = staged_entries(n, ucoords);
+  const std::size_t increasing[] = {2, 4};
+  EXPECT_THROW(
+      TwoPassSpanner::pass1_ingest_row(row, increasing, entries, ucoords),
+      std::invalid_argument);
+  const std::size_t nested[] = {4, 2};
+  EXPECT_NO_THROW(
+      TwoPassSpanner::pass1_ingest_row(row, nested, entries, ucoords));
+}
+
+TEST(TwoPass, Pass2IngestRowRejectsIncreasingPrefixes) {
+  const Vertex n = 16;
+  const auto geo = std::make_shared<SpannerGeometry>(n, make_config(2, 6));
+  TwoPassSpanner a(geo);
+  TwoPassSpanner b(geo);
+  a.advance_pass();
+  b.advance_pass();
+  TwoPassSpanner* row[] = {&a, &b};
+  std::vector<std::uint64_t> ucoords;
+  const auto entries = staged_entries(n, ucoords);
+  const std::size_t increasing[] = {1, 3};
+  EXPECT_THROW(TwoPassSpanner::pass2_ingest_row(row, increasing, entries),
+               std::invalid_argument);
+  const std::size_t nested[] = {3, 3};
+  EXPECT_NO_THROW(TwoPassSpanner::pass2_ingest_row(row, nested, entries));
 }
 
 

@@ -37,7 +37,6 @@ TAG_NAMES = {
     "SKBK": "SketchBank",
     "SPRS": "SparseRecoverySketch",
     "DSTE": "DistinctElementsSketch",
-    "LKVS": "LinearKeyValueSketch",
     "AGMS": "AgmGraphSketch",
     "TPSP": "TwoPassSpanner",
     "SPFP": "SpanningForestProcessor",
