@@ -111,7 +111,6 @@ int main() {
       "\nNotes: space = Theta(n d log n) neighborhood sketches + Theta(n "
       "polylog) fixed overhead (AGM + degree sketches), so bytes/(n d) "
       "decays toward the overhead as d grows; the d=2 rows show the "
-      "compression regime.  Surplus verdict uses the 4x constant recorded "
-      "in EXPERIMENTS.md.\n");
+      "compression regime.  Surplus verdict: max surplus <= 4 n/d.\n");
   return 0;
 }

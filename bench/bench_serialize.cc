@@ -5,7 +5,7 @@
 //
 //   forest_save                serialize the ingested sketch to bytes
 //   forest_load                restore those bytes into a fresh processor
-//   forest_ingest_plain        engine ingest, checkpointing off (anchor)
+//   forest_ingest_plain        engine ingest, checkpointing off
 //   forest_ingest_checkpointed same ingest + periodic checkpoints to disk
 //   forest_ingest_fault_hooks  the plain engine ingest + one DISARMED
 //                              fault::fire() per update -- per-UPDATE
@@ -22,19 +22,17 @@
 // mismatch exits nonzero, so the CI run doubles as a correctness gate.
 //
 // Emits BENCH_serialize.json; committed baselines (full + quick) are
-// compared by tools/compare_bench.py in CI, normalized by
-// forest_ingest_plain so runner-speed differences cancel.
-#include <sys/resource.h>
-
+// compared by tools/compare_bench.py in CI, normalized by the calibration
+// row (bench/harness.h) so runner-speed differences cancel.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "agm/spanning_forest.h"
+#include "bench/harness.h"
 #include "bench/table.h"
 #include "engine/stream_engine.h"
 #include "graph/generators.h"
@@ -51,16 +49,6 @@ using namespace kw::bench;
 constexpr int kReps = 9;  // best-of wall clock; high rep count because the
                           // fault-hooks gate compares ~10 ms quick-mode rows
 
-struct Result {
-  std::string name;
-  std::size_t updates = 0;  // updates for ingest rows, BYTES for save/load
-  double ms = 0.0;
-  bool ok = false;
-  [[nodiscard]] double per_sec() const {
-    return static_cast<double>(updates) / (ms / 1e3);
-  }
-};
-
 [[nodiscard]] std::vector<std::tuple<Vertex, Vertex>> forest_edges(
     ForestResult result) {
   std::vector<std::tuple<Vertex, Vertex>> edges;
@@ -69,34 +57,6 @@ struct Result {
   }
   std::sort(edges.begin(), edges.end());
   return edges;
-}
-
-void write_json(const std::vector<Result>& results, const std::string& path,
-                bool quick) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"serialize\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"quick\": %s,\n  \"hardware_threads\": %u,\n",
-               quick ? "true" : "false",
-               std::thread::hardware_concurrency());
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss: peak RSS in KiB on Linux
-  std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", ru.ru_maxrss);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"updates\": %zu, \"ms\": %.3f, "
-                 "\"updates_per_sec\": %.1f}%s\n",
-                 r.name.c_str(), r.updates, r.ms, r.per_sec(),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -178,7 +138,7 @@ int main(int argc, char** argv) {
     results.push_back(l);
   }
 
-  // ---- forest_ingest_plain (the normalization anchor) --------------------
+  // ---- forest_ingest_plain (the checkpoint-tax baseline) -----------------
   {
     Result r;
     r.name = "forest_ingest_plain";
@@ -278,6 +238,7 @@ int main(int argc, char** argv) {
       "ingest decodes the reference forest, and no disarmed site fires.\n",
       n);
 
-  write_json(results, out, quick);
+  results.push_back(calibration());
+  write_json("serialize", results, out, quick);
   return all_ok ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 // Sketch-bank hot-path throughput: the edge-ingest numbers the fused
 // BankGroup refactor is accountable for.
 //
-// Six measurements, each a self-checking end-to-end ingest:
+// Six measurements, each a self-checking end-to-end ingest, plus the
+// calibration row:
 //   spanning_forest_ingest       AGM spanning forest via StreamEngine,
 //                                batched (churn stream: dedupe/cancellation
 //                                in full effect)
@@ -13,31 +14,29 @@
 //                                layout; cells must match bit-for-bit)
 //   bank_ingest_batched          raw one-group ingest_pairs (no engine)
 //   bank_update_scalar           the same updates through per-vertex
-//                                bank-of-one samplers (the pre-refactor
-//                                object layout) for context
+//                                one-vertex SketchBanks (the pre-refactor
+//                                one-object-per-vertex layout) for context
+//   calibration                  the machine-speed anchor (bench/harness.h)
 //
-// Emits BENCH_sketch_hotpath.json (schema below); the committed baseline at
-// the repo root seeds the perf trajectory and tools/compare_bench.py warns
-// on regressions against it (CI fails the job above its --fail-over bound).
-// `--quick` shrinks the workload for CI; `--out PATH` overrides the output
-// path.
-#include <sys/resource.h>
-
+// Emits BENCH_sketch_hotpath.json (schema: bench/harness.h); the committed
+// baseline at the repo root seeds the perf trajectory and
+// tools/compare_bench.py warns on regressions against it (CI fails the job
+// above its --fail-over bound).  `--quick` shrinks the workload for CI;
+// `--out PATH` overrides the output path.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "agm/k_connectivity.h"
 #include "agm/spanning_forest.h"
+#include "bench/harness.h"
 #include "bench/table.h"
 #include "engine/stream_engine.h"
 #include "graph/generators.h"
-#include "sketch/l0_sampler.h"
 #include "sketch/sketch_bank.h"
 #include "stream/dynamic_stream.h"
 #include "util/random.h"
@@ -47,17 +46,6 @@ namespace {
 
 using namespace kw;
 using namespace kw::bench;
-
-struct Result {
-  std::string name;
-  std::size_t updates = 0;
-  double ms = 0.0;
-  bool ok = true;
-
-  [[nodiscard]] double per_sec() const {
-    return static_cast<double>(updates) / (ms / 1e3);
-  }
-};
 
 // Best-of-N wall clock: each measurement re-runs its full ingest kReps times
 // and reports the fastest, which screens out scheduler noise on shared
@@ -144,7 +132,7 @@ constexpr std::size_t kEngineBatch = 65536;
 }
 
 // Raw bank throughput on synthetic pair updates, against the same updates
-// through per-vertex bank-of-one samplers (the pre-refactor one-object-per-
+// through per-vertex one-vertex banks (the pre-refactor one-object-per-
 // vertex layout: per-call hashing, no term sharing between endpoints).
 [[nodiscard]] std::vector<BankPairUpdate> synthetic_pairs(Vertex n,
                                                           std::size_t count) {
@@ -289,20 +277,16 @@ constexpr std::size_t kEngineBatch = 65536;
 [[nodiscard]] Result bank_update_scalar(Vertex n, std::size_t count,
                                         const std::vector<OneSparseCell>& ref) {
   const auto updates = synthetic_pairs(n, count);
-  L0SamplerConfig sc;
-  sc.max_coord = num_pairs(n);
-  sc.instances = 4;
-  sc.seed = 31;
   Result r;
   r.name = "bank_update_scalar";
   r.updates = count;
   r.ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<L0Sampler> samplers(n, L0Sampler(sc));
+    std::vector<SketchBank> samplers(n, SketchBank(1, synthetic_config(n)));
     Timer timer;
     for (const auto& u : updates) {
-      samplers[u.lo].update(u.coord, u.delta);
-      samplers[u.hi].update(u.coord, -u.delta);
+      samplers[u.lo].update(0, u.coord, u.delta);
+      samplers[u.hi].update(0, u.coord, -u.delta);
     }
     r.ms = std::min(r.ms, timer.millis());
     // Identity: per-vertex samplers and the flat bank share seed semantics,
@@ -310,7 +294,7 @@ constexpr std::size_t kEngineBatch = 65536;
     r.ok = true;
     std::size_t offset = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      const auto stripe = samplers[v].bank().stripe(0);
+      const auto stripe = samplers[v].stripe(0);
       for (const auto& cell : stripe) {
         const auto& expect = ref[offset++];
         r.ok = r.ok && cell.count == expect.count &&
@@ -320,34 +304,6 @@ constexpr std::size_t kEngineBatch = 65536;
     }
   }
   return r;
-}
-
-void write_json(const std::vector<Result>& results, const std::string& path,
-                bool quick) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"sketch_hotpath\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"quick\": %s,\n  \"hardware_threads\": %u,\n",
-               quick ? "true" : "false",
-               std::thread::hardware_concurrency());
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss: peak RSS in KiB on Linux
-  std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", ru.ru_maxrss);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"updates\": %zu, \"ms\": %.3f, "
-                 "\"updates_per_sec\": %.1f}%s\n",
-                 r.name.c_str(), r.updates, r.ms, r.per_sec(),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -407,6 +363,7 @@ int main(int argc, char** argv) {
       "bank_ingest_batched vs bank_update_scalar isolates the flat-bank "
       "layout win at equal arithmetic.\n");
 
-  write_json(results, out, quick);
+  results.push_back(calibration());
+  write_json("sketch_hotpath", results, out, quick);
   return all_ok ? 0 : 1;
 }

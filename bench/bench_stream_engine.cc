@@ -10,17 +10,15 @@
 //
 // Emits BENCH_stream_engine.json; the committed baselines at the repo root
 // (full + quick) are compared by tools/compare_bench.py in CI, normalized
-// by the forest_ingest_seq row so runner-speed differences cancel and only
-// the threading overhead/scaling ratio is gated.  `--quick` shrinks the
-// workload for CI; `--out PATH` overrides the output path.
+// by the calibration row (bench/harness.h) so runner-speed differences
+// cancel.  `--quick` shrinks the workload for CI; `--out PATH` overrides
+// the output path.
 //
 // Scaling expectations: w1 pays the routing + handoff + clone/merge tax
 // with no parallelism (expect a modest slowdown vs seq); w2/w4 recover it
 // and win once the machine actually has that many hardware threads.  The
 // committed baselines record the machine's hardware_concurrency so a
 // single-core baseline is not misread as "threading doesn't help".
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -30,6 +28,7 @@
 #include <vector>
 
 #include "agm/spanning_forest.h"
+#include "bench/harness.h"
 #include "bench/table.h"
 #include "engine/stream_engine.h"
 #include "graph/generators.h"
@@ -44,16 +43,6 @@ using namespace kw::bench;
 // Best-of-N wall clock, same policy as bench_sketch_hotpath: each
 // measurement re-runs its full ingest kReps times and keeps the minimum.
 constexpr int kReps = 5;
-
-struct Result {
-  std::string name;
-  std::size_t updates = 0;
-  double ms = 0.0;
-  bool ok = false;
-  [[nodiscard]] double per_sec() const {
-    return static_cast<double>(updates) / (ms / 1e3);
-  }
-};
 
 [[nodiscard]] std::vector<std::tuple<Vertex, Vertex>> forest_edges(
     ForestResult result) {
@@ -90,34 +79,6 @@ struct Result {
   return r;
 }
 
-void write_json(const std::vector<Result>& results, const std::string& path,
-                bool quick) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"stream_engine\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"quick\": %s,\n  \"hardware_threads\": %u,\n",
-               quick ? "true" : "false",
-               std::thread::hardware_concurrency());
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss: peak RSS in KiB on Linux
-  std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", ru.ru_maxrss);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"updates\": %zu, \"ms\": %.3f, "
-                 "\"updates_per_sec\": %.1f}%s\n",
-                 r.name.c_str(), r.updates, r.ms, r.per_sec(),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,9 +107,7 @@ int main(int argc, char** argv) {
   AgmConfig config;
   config.seed = 13;
 
-  // Sequential reference first: its forest anchors every self-check and its
-  // throughput anchors the CI normalization (compare_bench --normalize-by
-  // forest_ingest_seq).
+  // Sequential reference first: its forest anchors every self-check.
   const Result seq = forest_ingest("forest_ingest_seq", stream, n, config,
                                    batch, /*workers=*/1, {});
   SpanningForestProcessor ref_processor(n, config);
@@ -186,6 +145,7 @@ int main(int argc, char** argv) {
       "machine reports %u).\n",
       batch, std::thread::hardware_concurrency());
 
-  write_json(results, out, quick);
+  results.push_back(calibration());
+  write_json("stream_engine", results, out, quick);
   return all_ok ? 0 : 1;
 }

@@ -2,7 +2,7 @@
 //
 // Every bench prints: a header naming the experiment and the paper claim it
 // regenerates, one row per parameter point, and a PASS/CHECK verdict column
-// where the claim is checkable.  EXPERIMENTS.md mirrors these tables.
+// where the claim is checkable.
 #ifndef KW_BENCH_TABLE_H
 #define KW_BENCH_TABLE_H
 

@@ -4,7 +4,7 @@
 /// Theorem 8's O(log n) budgets, ...).  Real runs need concrete values; every
 /// such constant is a named knob here, with defaults calibrated on the
 /// experiment suite so decode-failure probability is small at laptop scale
-/// (n <= 4096).  EXPERIMENTS.md records the values used per experiment.
+/// (n <= 4096).
 #ifndef KW_CORE_CONFIG_H
 #define KW_CORE_CONFIG_H
 
@@ -19,7 +19,7 @@ struct TwoPassConfig {
 
   // Pass 1: SKETCH_B budget for the S^r_j(u) sketches ("B = O(log n)").
   std::size_t pass1_budget = 6;
-  std::size_t pass1_rows = 3;
+  std::size_t pass1_rows = 3;  // in [1, 4]: the staged scatter's row limit
 
   // Pass 2: H^u_j table capacity = capacity_factor * n^{(i+1)/k} * log2(n)
   // (Claim 11's C log n headroom); table geometry below.

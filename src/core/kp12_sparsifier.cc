@@ -16,24 +16,6 @@
 
 namespace kw {
 
-namespace {
-
-// Nested subsample level of a pair under a hash: largest L such that the
-// pair survives rate 2^-L.  Closed form of the historical per-level loop
-//   while (level + 1 <= max_level && h < (kFieldPrime >> (level + 1)))
-// -- h < p >> L  <=>  bit_width(h + 1) <= 61 - L, so the deepest surviving
-// level is 61 - bit_width(h + 1) (KWiseHash::deepest_level), clamped.  The
-// equivalence across every level including the max_level boundary is
-// regression-pinned in tests/test_kp12_sparsifier.cc.
-[[nodiscard]] std::size_t survive_level(const KWiseHash& hash,
-                                        std::uint64_t pair,
-                                        std::size_t max_level) {
-  return std::min<std::uint64_t>(max_level,
-                                 KWiseHash::deepest_level(hash(pair)));
-}
-
-}  // namespace
-
 SpannerOracle::SpannerOracle(Graph spanner, std::size_t max_cached_sources)
     : spanner_(std::move(spanner)),
       max_cached_(std::max<std::size_t>(1, max_cached_sources)) {}
@@ -187,42 +169,6 @@ Kp12Sparsifier::Kp12Sparsifier(const Kp12Sparsifier& other, EmptyCloneTag)
   }
 }
 
-void Kp12Sparsifier::apply(const EdgeUpdate& upd) {
-  const std::uint64_t pair = pair_id(upd.u, upd.v, n_);
-  const bool pass1 = phase_ == Phase::kPass1;
-  for (std::size_t j = 0; j < config_.j_copies; ++j) {
-    const std::size_t lvl =
-        survive_level(estimate_hashes_[j], pair, t_levels_ - 1);
-    for (std::size_t t = 0; t <= lvl; ++t) {
-      if (pass1) {
-        oracles_[j][t].pass1_update(upd);
-      } else {
-        oracles_[j][t].pass2_update(upd);
-      }
-    }
-  }
-  for (std::size_t s = 0; s < config_.z_samples; ++s) {
-    const std::size_t lvl =
-        survive_level(sample_hashes_[s], pair, h_levels_ - 1);
-    for (std::size_t j = 0; j <= lvl; ++j) {
-      if (pass1) {
-        samplers_[s][j].pass1_update(upd);
-      } else {
-        samplers_[s][j].pass2_update(upd);
-      }
-    }
-  }
-}
-
-void Kp12Sparsifier::absorb_scalar(std::span<const EdgeUpdate> batch) {
-  if (phase_ == Phase::kDone) {
-    throw std::logic_error("Kp12Sparsifier: absorb() after finish()");
-  }
-  if (batch.empty()) return;
-  ensure_instances();
-  for (const EdgeUpdate& u : batch) apply(u);
-}
-
 void Kp12Sparsifier::absorb(std::span<const EdgeUpdate> batch) {
   if (phase_ == Phase::kDone) {
     throw std::logic_error("Kp12Sparsifier: absorb() after finish()");
@@ -231,9 +177,8 @@ void Kp12Sparsifier::absorb(std::span<const EdgeUpdate> batch) {
   ensure_instances();
 
   // ---- stage the batch ONCE -------------------------------------------
-  // Pair ids are computed once per update (the scalar path shared them
-  // across instances too); self-loops are dropped here because no instance
-  // ever ingests them.
+  // Pair ids are computed once per update and shared by every instance;
+  // self-loops are dropped here because no instance ever ingests them.
   staged_.clear();
   for (const EdgeUpdate& upd : batch) {
     if (upd.u >= n_ || upd.v >= n_) {
@@ -275,8 +220,11 @@ void Kp12Sparsifier::dispatch_copy(const KWiseHash& hash, std::size_t levels,
   const std::size_t count = staged_.size();  // entry i == coordinate slot i
   const std::size_t cap = levels - 1;
 
-  // survive_level for every unique coordinate: one eval_many Horner sweep
-  // plus the bit_width closed form (no per-level loop, no per-update hash).
+  // Survive level (the deepest nested rate 2^-L a pair survives) for every
+  // unique coordinate: one eval_many Horner sweep plus the bit_width closed
+  // form (no per-level loop, no per-update hash).  The closed form's
+  // equivalence with the per-level loop, max_level boundary included, is
+  // pinned in tests/test_kp12_sparsifier.cc.
   scratch.hash_vals.resize(count);
   hash.eval_many(ucoords_, scratch.hash_vals);
   scratch.slot_level.resize(count);

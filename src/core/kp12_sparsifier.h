@@ -33,8 +33,8 @@
 /// 2^-t" into a contiguous prefix handed to the row-ingest entry points
 /// (pass1_ingest_row / pass2_ingest_row), which share the per-update
 /// staging across all T (resp. H) nested instances of the row.  The
-/// per-update reference path survives as absorb_scalar(); both produce
-/// bit-identical sketch state (golden-pinned in tests/test_kp12_fused.cc).
+/// per-update fan-out this replaced lives in tests/reference as the golden
+/// reference (tests/test_kp12_fused.cc pins bit-identical sketch state).
 ///
 /// The J + Z membership rows are disjoint state islands (row r's counting
 /// sort, staging scratch, and nested instances are touched by no other
@@ -117,12 +117,6 @@ class Kp12Sparsifier final : public StreamProcessor {
   [[nodiscard]] std::unique_ptr<StreamProcessor> clone_empty() const override;
   void merge(StreamProcessor&& other) override;
 
-  // The historical per-update fan-out (one survive_level hash per instance
-  // copy, one pass*_update per surviving instance).  Kept as the reference
-  // implementation: state after absorb_scalar() is bit-identical to
-  // absorb(), which the golden tests and the bench's legacy row pin.
-  void absorb_scalar(std::span<const EdgeUpdate> batch);
-
   // Valid once after finish(); throws std::logic_error if finish() has not
   // run or the result was already taken.
   [[nodiscard]] Kp12Result take_result();
@@ -156,8 +150,11 @@ class Kp12Sparsifier final : public StreamProcessor {
   enum class Phase { kPass1, kPass2, kDone };
   struct EmptyCloneTag {};
 
+  // The test-side per-update reference (tests/reference) drives the fleet
+  // directly.
+  friend struct Kp12ScalarReference;
+
   Kp12Sparsifier(const Kp12Sparsifier& other, EmptyCloneTag);
-  void apply(const EdgeUpdate& upd);
   // The J*T + Z*H spanner instances are built on the first absorbed update:
   // a sparsifier that never sees an update (e.g. an empty weight class in
   // weighted_kp12_sparsify) costs nothing beyond this object.

@@ -126,6 +126,9 @@ SpannerGeometry::SpannerGeometry(Vertex n_in, const TwoPassConfig& config_in)
       y_hash(8, derive_seed(config_in.seed, 0xe2)) {
   if (n < 2) throw std::invalid_argument("spanner needs n >= 2");
   if (config.k == 0) throw std::invalid_argument("spanner needs k >= 1");
+  if (config.pass1_rows == 0 || config.pass1_rows > kMaxFastRows) {
+    throw std::invalid_argument("spanner pass1_rows must be in [1, 4]");
+  }
   // Y_j at half-octave rates 2^{-j/2} (default): finer steps than the
   // paper's 2^{-j} sharpen the guarantee that some level isolates <= B
   // neighbors per key.  bench_ablation compares the two ladders.
@@ -167,15 +170,6 @@ SpannerGeometry::SpannerGeometry(Vertex n_in, const TwoPassConfig& config_in)
   }
   bank_geo = KvBankGeometry::make(std::move(bank_configs),
                                   /*stage_scatter=*/true);
-}
-
-std::size_t SpannerGeometry::edge_level_of(std::uint64_t pair) const {
-  // Closed form of the historical per-level loop
-  //   while (level + 1 < edge_levels && h < kFieldPrime >> (level + 1))
-  // -- h < p >> L  <=>  bit_width(h + 1) <= 61 - L, so the deepest
-  // surviving level is KWiseHash::deepest_level(h), clamped to the ladder.
-  return std::min<std::uint64_t>(
-      edge_levels - 1, KWiseHash::deepest_level(edge_level_hash(pair)));
 }
 
 std::size_t SpannerGeometry::y_level_of(Vertex v) const {
@@ -347,30 +341,6 @@ OneSparseCell* TwoPassSpanner::page_stripe(Pass1Page& page, Vertex keeper) {
                                 pass1_cell_count_;
 }
 
-void TwoPassSpanner::pass1_update(const EdgeUpdate& update) {
-  if (phase_ != Phase::kPass1) throw std::logic_error("not in pass 1");
-  if (update.u == update.v) return;
-  if (update.u >= n_ || update.v >= n_) {
-    throw std::out_of_range("TwoPassSpanner: endpoint out of range");
-  }
-  const std::uint64_t coord = pair_id(update.u, update.v, n_);
-  const std::size_t jmax = geo_->edge_level_of(coord);
-  for (unsigned r = 1; r < config_.k; ++r) {
-    // S^r_j(u) covers ({u} x C_r) cap E cap E_j: endpoint u keeps the edge
-    // iff the *other* endpoint is in C_r.
-    for (int side = 0; side < 2; ++side) {
-      const Vertex keeper = side == 0 ? update.u : update.v;
-      const Vertex other = side == 0 ? update.v : update.u;
-      if (!geo_->hierarchy.contains(r, other)) continue;
-      for (std::size_t j = 0; j <= jmax; ++j) {
-        OneSparseCell* stripe = page_stripe(page_at(r, j), keeper);
-        geo_->page_geometry(r, j).update_state({stripe, pass1_cell_count_},
-                                               coord, update.delta);
-      }
-    }
-  }
-}
-
 void TwoPassSpanner::validate_entries(
     std::span<const SpannerBatchEntry> entries) const {
   const std::uint64_t max_coord = num_pairs(n_);
@@ -419,16 +389,7 @@ void TwoPassSpanner::pass1_ingest_row(
     }
   }
   lead.validate_entries(entries);
-  const std::size_t rows = geo.config.pass1_rows;
-  if (rows == 0 || rows > kMaxFastRows) {
-    // Exotic geometry: take the exact scalar path (same cells).
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      for (const SpannerBatchEntry& e : entries.first(prefixes[i])) {
-        instances[i]->pass1_update({e.u, e.v, e.delta, 1.0});
-      }
-    }
-    return;
-  }
+  const std::size_t rows = geo.config.pass1_rows;  // [1, kMaxFastRows]
   const std::size_t edge_levels = geo.edge_levels;
   const std::size_t uniques = ucoords.size();
 
@@ -522,8 +483,7 @@ void TwoPassSpanner::pass1_ingest_row(
     //    row buckets (eval_many + the same Lemire reduction bucket() uses).
     //    Each is computed ONCE per unique coordinate per page -- and, since
     //    the kernels read nothing but the SHARED geometry, once for the
-    //    whole instance row; the scalar path recomputes the term per row
-    //    and per touching update per instance.
+    //    whole instance row.
     for (std::size_t j = 0; j < edge_levels; ++j) {
       const std::size_t begin = j == 0 ? 0 : lead.level_end_[j - 1];
       const std::size_t end = lead.level_end_[j];
@@ -727,25 +687,6 @@ void TwoPassSpanner::prepare_pass2_structures() {
     const CopyRef tp = forest_->terminal_parent_of(a);
     terminal_of_vertex_[a] =
         term_index[static_cast<std::size_t>(tp.level) * n_ + tp.v];
-  }
-}
-
-void TwoPassSpanner::pass2_update(const EdgeUpdate& update) {
-  if (phase_ != Phase::kPass2) throw std::logic_error("not in pass 2");
-  if (update.u == update.v) return;
-  if (update.u >= n_ || update.v >= n_) {
-    throw std::out_of_range("TwoPassSpanner: endpoint out of range");
-  }
-  const std::uint8_t* y_caps = geo_->y_caps.data();
-  for (int side = 0; side < 2; ++side) {
-    const Vertex a = side == 0 ? update.u : update.v;
-    const Vertex b = side == 0 ? update.v : update.u;
-    const std::uint32_t t = terminal_of_vertex_[a];
-    if (is_member(t, b)) continue;  // b in T_u: skip
-    // "add SKETCH(delta * a) to the b-th entry of H^u_j for j = 0..jmax":
-    // one bank update covers the whole level prefix.
-    bank_for(t).update(/*key=*/b, update.delta, /*payload_coord=*/a,
-                       update.delta, /*jmax=*/y_caps[a]);
   }
 }
 

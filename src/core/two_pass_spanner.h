@@ -38,17 +38,16 @@
 /// is O(touched terminals), not O(terminals * levels).
 ///
 /// The class implements the push-based StreamProcessor contract (two
-/// passes; absorb / advance_pass / finish driven by kw::StreamEngine) and
-/// additionally exposes the per-update methods (pass1_update / pass2_update /
-/// finish_pass1) because the KP12 sparsifier feeds many instances
-/// update-level filtered substreams of the *same* two physical passes.
-/// For batched fan-in there are staged entry points (pass1_ingest /
-/// pass2_ingest) consuming caller-staged batches with deduplicated
-/// coordinates: hash levels ride one eval_many sweep per batch, fingerprint
-/// terms and row buckets are computed once per unique coordinate per page,
-/// and pass 2 reads precomputed per-vertex Y_j levels and a terminal-member
-/// bit matrix instead of hashing per update.  absorb() stages internally,
-/// so engine-driven ingestion takes the batched path automatically.
+/// passes; absorb / advance_pass / finish driven by kw::StreamEngine).  The
+/// KP12 sparsifier feeds many instances filtered substreams of the *same*
+/// two physical passes, so there are also staged entry points (pass1_ingest
+/// / pass2_ingest and their row forms) consuming caller-staged batches with
+/// deduplicated coordinates: hash levels ride one eval_many sweep per batch,
+/// fingerprint terms and row buckets are computed once per unique coordinate
+/// per page, and pass 2 reads precomputed per-vertex Y_j levels and a
+/// terminal-member table instead of hashing per update.  absorb() stages
+/// internally and feeds the same entry points, so every ingest -- one
+/// update or a whole batch -- takes one path.
 /// run() is the single-instance convenience, routed through
 /// StreamEngine::run_single so the two-pass contract is enforced in one
 /// place.  clone_empty()/merge() shard either pass by sketch linearity.
@@ -122,8 +121,8 @@ struct SpannerBatchEntry {
 // deletion reuses its insertion's pair id -- collapse into one entry with
 // the summed delta, linearity-exact for every downstream cell.  Net-zero
 // survivors are KEPT (a zero-delta entry still materializes the same
-// pass-1 sketches the per-update path would, so state stays bit-identical).
-// Afterwards entries.size() == ucoords.size() and entry i IS unique
+// pass-1 sketches the unaggregated updates would, so state stays
+// bit-identical).  Afterwards entries.size() == ucoords.size() and entry i IS unique
 // coordinate slot i.  A summed delta that overflows its int32 throws
 // std::overflow_error.  Shared by TwoPassSpanner::absorb and
 // Kp12Sparsifier::absorb.
@@ -148,6 +147,10 @@ void aggregate_batch_entries(std::vector<SpannerBatchEntry>& entries,
 // (pass1_ingest_row below): qualification masks, E_j levels, fingerprint
 // terms and row buckets are functions of the geometry only.
 struct SpannerGeometry {
+  // pass1_rows must lie in [1, kMaxFastRows] (std::invalid_argument
+  // otherwise): the staged pass-1 scatter keeps one bucket per row inline.
+  static constexpr std::size_t kMaxFastRows = 4;
+
   SpannerGeometry(Vertex n, const TwoPassConfig& config);
 
   [[nodiscard]] static std::shared_ptr<const SpannerGeometry> make(
@@ -159,8 +162,6 @@ struct SpannerGeometry {
       unsigned r, std::size_t j) const {
     return pages[(r - 1) * edge_levels + j];
   }
-  // Deepest E_j level a pair survives (closed form; see the .cc).
-  [[nodiscard]] std::size_t edge_level_of(std::uint64_t pair) const;
   [[nodiscard]] std::size_t y_level_of(Vertex v) const;
 
   Vertex n;
@@ -242,17 +243,14 @@ class TwoPassSpanner final : public StreamProcessor {
     return h;
   }
 
-  // --- per-update interface (filtered fan-in, e.g. KP12 substreams) ---
-  void pass1_update(const EdgeUpdate& update);
   void finish_pass1();  // builds the cluster forest, prepares pass 2
-  void pass2_update(const EdgeUpdate& update);
 
   // --- staged batched interface (the fused sparsifier hot path) ---
   // Entries must have u != v, endpoints < n, coord == pair_id(u, v, n) and
   // slot < ucoords.size() with ucoords[slot] == coord; ucoords must be
   // duplicate-free.  Cells after pass1_ingest are bit-identical to the same
-  // entries fed through pass1_update one at a time (adds commute; hashing is
-  // eval_many, terms ride shared power tables -- all exact).
+  // entries absorbed one at a time (adds commute; hashing is eval_many,
+  // terms ride shared power tables -- all exact).
   void pass1_ingest(std::span<const SpannerBatchEntry> entries,
                     std::span<const std::uint64_t> ucoords);
   // Same contract for pass 2 (no coordinate staging needed: pass 2 reads
@@ -336,9 +334,8 @@ class TwoPassSpanner final : public StreamProcessor {
   // indices within a vertex's page stripe.
   struct PageRec {
     std::uint64_t p1 = 0, p2 = 0;
-    std::uint32_t cell[4] = {0, 0, 0, 0};
+    std::uint32_t cell[SpannerGeometry::kMaxFastRows] = {};
   };
-  static constexpr std::size_t kMaxFastRows = 4;
 
   // clone_empty(): same config/randomness/control state, zero sketch state.
   TwoPassSpanner(const TwoPassSpanner& other, EmptyCloneTag);

@@ -147,7 +147,7 @@ class BankGroup {
                   std::size_t vertex, std::int64_t sign = 1) const;
 
   // Decodes a stripe-shaped cell run (e.g. an accumulate() sum) with group
-  // g's randomness: deepest level first per instance, the L0Sampler order.
+  // g's randomness: deepest level first per instance.
   [[nodiscard]] std::optional<Recovered> decode_cells(
       std::size_t group, std::span<const OneSparseCell> cells) const;
 

@@ -1,7 +1,14 @@
-/// Flat per-vertex L0 sketch bank -- n independent L0Samplers (one per
-/// vertex) sharing one seed, hence one hash family and fingerprint basis:
-/// the sharing that makes per-vertex sketches summable across vertices,
-/// which Boruvka-over-sketches requires.
+/// Flat per-vertex L0 sketch bank ([JST11]/[AGM12a]-style L0 sampling):
+/// n independent L0 samplers (one per vertex) sharing one seed, hence one
+/// hash family and fingerprint basis -- the sharing that makes per-vertex
+/// sketches summable across vertices, which Boruvka-over-sketches requires.
+///
+/// Each sampler keeps, per independent instance, one one-sparse detector per
+/// level over the coordinates surviving rate-2^-j subsampling (nested,
+/// driven by one k-wise hash); when a vector has L0 nonzeros, the level near
+/// log2(L0) is one-sparse with constant probability and returns its
+/// (coordinate, value) exactly.  A one-vertex bank is the single-vector
+/// sampler.
 ///
 /// Since the fused multi-round refactor this class is a thin wrapper around
 /// a one-group BankGroup (sketch/bank_group.h), which owns the contiguous
@@ -11,9 +18,9 @@
 /// round or per k-connectivity layer should hold a multi-group BankGroup
 /// instead -- same cells, one staging pass for all rounds.
 ///
-/// All paths produce cells bit-identical to the scalar L0Sampler algorithm
-/// (same derive_seed constants, same field arithmetic; the cell adds
-/// commute exactly), which tests/test_sketch_bank.cc pins down.
+/// All paths produce cells bit-identical to the scalar per-level sampler
+/// algorithm (same derive_seed constants, same field arithmetic; the cell
+/// adds commute exactly), which tests/test_sketch_bank.cc pins down.
 #ifndef KW_SKETCH_SKETCH_BANK_H
 #define KW_SKETCH_SKETCH_BANK_H
 
@@ -120,7 +127,7 @@ class SketchBank {
   }
 
   // Decodes an external stripe (e.g. an accumulate() sum): deepest level
-  // first per instance, exactly the L0Sampler decode order.
+  // first per instance, the sampler's decode order.
   [[nodiscard]] std::optional<Recovered> decode_cells(
       std::span<const OneSparseCell> cells) const {
     return group_.decode_cells(0, cells);
@@ -164,7 +171,7 @@ class SketchBank {
   }
 
   SketchBankConfig config_;
-  BankGroup group_;  // one group, seeded like the historical L0Sampler
+  BankGroup group_;  // one group, seeded by config_.seed
 };
 
 }  // namespace kw

@@ -2,7 +2,8 @@
 // (staged batch, eval_many membership levels, level-sorted prefix dispatch
 // into TwoPassSpanner::pass*_ingest) must be indistinguishable -- result,
 // diagnostics, space accounting -- from the historical per-update fan-out
-// (absorb_scalar), mirroring the PR-4 fused-vs-legacy BankGroup contract.
+// (Kp12ScalarReference in tests/reference), mirroring the fused-vs-legacy
+// BankGroup contract.
 #include <algorithm>
 #include <cstddef>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include "core/kp12_sparsifier.h"
 #include "graph/generators.h"
+#include "reference/kp12_scalar_reference.h"
 #include "serialize/serialize.h"
 #include "stream/dynamic_stream.h"
 #include "stream/weight_classes.h"
@@ -63,7 +65,7 @@ void expect_fused_matches_scalar(Vertex n, const DynamicStream& stream,
       const std::size_t len = std::min(batch_size, ups.size() - i);
       fused.absorb({ups.data() + i, len});
     }
-    scalar.absorb_scalar(ups);
+    Kp12ScalarReference::absorb(scalar, ups);
     if (pass == 0) {
       fused.advance_pass();
       scalar.advance_pass();
@@ -153,7 +155,7 @@ TEST(Kp12Fused, WeightedPipelineMatchesPerClassScalarRuns) {
       Kp12Sparsifier sparsifier(stream.n(), cc);
       const auto& ups = parts[cls].updates();
       for (int pass = 0; pass < 2; ++pass) {
-        sparsifier.absorb_scalar(ups);
+        Kp12ScalarReference::absorb(sparsifier, ups);
         if (pass == 0) sparsifier.advance_pass();
       }
       sparsifier.finish();
@@ -229,7 +231,7 @@ TEST(Kp12Threaded, BitIdenticalAcrossWorkerCountsAndBatchSizes) {
   // Scalar reference (per-update path, no pool involvement in absorb).
   Kp12Sparsifier scalar(40, fused_config(71));
   for (int pass = 0; pass < 2; ++pass) {
-    scalar.absorb_scalar(stream.updates());
+    Kp12ScalarReference::absorb(scalar, stream.updates());
     if (pass == 0) scalar.advance_pass();
   }
   scalar.finish();

@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "graph/spectral_compare.h"
+#include "reference/kp12_scalar_reference.h"
 #include "util/bit_util.h"
 #include "util/hashing.h"
 #include "util/prime_field.h"
@@ -237,7 +238,7 @@ TEST(Kp12, FirstUpdateArrivingInPass2CatchesUpPhases) {
 
   Kp12Sparsifier scalar(32, config);
   scalar.advance_pass();
-  scalar.absorb_scalar(stream.updates());
+  Kp12ScalarReference::absorb(scalar, stream.updates());
   scalar.finish();
   const Kp12Result rs = scalar.take_result();
   ASSERT_EQ(rf.sparsifier.m(), rs.sparsifier.m());

@@ -1,35 +1,35 @@
-#include "sketch/l0_sampler.h"
-
+// L0 sampling of a single dynamic vector: a one-vertex SketchBank.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "sketch/sketch_bank.h"
 #include "util/random.h"
 
 namespace kw {
 namespace {
 
-[[nodiscard]] L0SamplerConfig make_config(std::uint64_t max_coord,
-                                          std::uint64_t seed) {
-  L0SamplerConfig c;
+[[nodiscard]] SketchBank make_sampler(std::uint64_t max_coord,
+                                      std::uint64_t seed) {
+  SketchBankConfig c;
   c.max_coord = max_coord;
   c.instances = 4;
   c.seed = seed;
-  return c;
+  return SketchBank(1, c);
 }
 
 TEST(L0Sampler, ZeroVectorYieldsNothing) {
-  const L0Sampler sampler(make_config(1000, 1));
-  EXPECT_FALSE(sampler.decode().has_value());
+  const SketchBank sampler = make_sampler(1000, 1);
+  EXPECT_FALSE(sampler.decode(0).has_value());
   EXPECT_TRUE(sampler.is_zero());
 }
 
 TEST(L0Sampler, SingletonAlwaysFound) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    L0Sampler sampler(make_config(1 << 20, seed));
-    sampler.update(777, 5);
-    const auto rec = sampler.decode();
+    SketchBank sampler = make_sampler(1 << 20, seed);
+    sampler.update(0, 777, 5);
+    const auto rec = sampler.decode(0);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->coord, 777u);
     EXPECT_EQ(rec->value, 5);
@@ -39,15 +39,15 @@ TEST(L0Sampler, SingletonAlwaysFound) {
 TEST(L0Sampler, ReturnsTrueNonzeroCoordinate) {
   int failures = 0;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    L0Sampler sampler(make_config(1 << 20, 100 + seed));
+    SketchBank sampler = make_sampler(1 << 20, 100 + seed);
     std::set<std::uint64_t> support;
     Rng rng(seed);
     for (int i = 0; i < 500; ++i) {
       const std::uint64_t c = rng.next_below(1 << 20);
       support.insert(c);
-      sampler.update(c, 1);
+      sampler.update(0, c, 1);
     }
-    const auto rec = sampler.decode();
+    const auto rec = sampler.decode(0);
     if (!rec.has_value()) {
       ++failures;
       continue;
@@ -59,47 +59,45 @@ TEST(L0Sampler, ReturnsTrueNonzeroCoordinate) {
 }
 
 TEST(L0Sampler, DeletionsRespected) {
-  L0Sampler sampler(make_config(10000, 3));
+  SketchBank sampler = make_sampler(10000, 3);
   // Insert a crowd, delete all but one.
-  for (std::uint64_t c = 0; c < 300; ++c) sampler.update(c, 1);
+  for (std::uint64_t c = 0; c < 300; ++c) sampler.update(0, c, 1);
   for (std::uint64_t c = 0; c < 300; ++c) {
-    if (c != 123) sampler.update(c, -1);
+    if (c != 123) sampler.update(0, c, -1);
   }
-  const auto rec = sampler.decode();
+  const auto rec = sampler.decode(0);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->coord, 123u);
   EXPECT_EQ(rec->value, 1);
 }
 
 TEST(L0Sampler, FullyCancelledIsZero) {
-  L0Sampler sampler(make_config(500, 9));
-  for (std::uint64_t c = 0; c < 100; ++c) sampler.update(c, 2);
-  for (std::uint64_t c = 0; c < 100; ++c) sampler.update(c, -2);
+  SketchBank sampler = make_sampler(500, 9);
+  for (std::uint64_t c = 0; c < 100; ++c) sampler.update(0, c, 2);
+  for (std::uint64_t c = 0; c < 100; ++c) sampler.update(0, c, -2);
   EXPECT_TRUE(sampler.is_zero());
-  EXPECT_FALSE(sampler.decode().has_value());
+  EXPECT_FALSE(sampler.decode(0).has_value());
 }
 
 TEST(L0Sampler, MergeActsLikeUnion) {
-  const auto config = make_config(4096, 21);
-  L0Sampler a(config);
-  L0Sampler b(config);
-  a.update(11, 1);
-  b.update(22, 1);
+  SketchBank a = make_sampler(4096, 21);
+  SketchBank b = a.clone_empty();
+  a.update(0, 11, 1);
+  b.update(0, 22, 1);
   a.merge(b, 1);
-  const auto rec = a.decode();
+  const auto rec = a.decode(0);
   ASSERT_TRUE(rec.has_value());
   EXPECT_TRUE(rec->coord == 11 || rec->coord == 22);
 }
 
 TEST(L0Sampler, MergeSubtractCancelsSharedPart) {
-  const auto config = make_config(4096, 23);
-  L0Sampler a(config);
-  L0Sampler b(config);
-  a.update(11, 1);
-  a.update(33, 1);
-  b.update(11, 1);
+  SketchBank a = make_sampler(4096, 23);
+  SketchBank b = a.clone_empty();
+  a.update(0, 11, 1);
+  a.update(0, 33, 1);
+  b.update(0, 11, 1);
   a.merge(b, -1);  // leaves only 33
-  const auto rec = a.decode();
+  const auto rec = a.decode(0);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->coord, 33u);
 }
@@ -111,9 +109,9 @@ TEST(L0Sampler, SupportCoverage) {
   std::set<std::uint64_t> support{10, 20, 30, 40, 50, 60, 70, 80};
   std::set<std::uint64_t> seen;
   for (std::uint64_t seed = 0; seed < 160; ++seed) {
-    L0Sampler sampler(make_config(1000, 5000 + seed));
-    for (const auto c : support) sampler.update(c, 1);
-    const auto rec = sampler.decode();
+    SketchBank sampler = make_sampler(1000, 5000 + seed);
+    for (const auto c : support) sampler.update(0, c, 1);
+    const auto rec = sampler.decode(0);
     if (rec.has_value()) seen.insert(rec->coord);
   }
   EXPECT_GE(seen.size(), 6u) << "sampler should reach most of the support";
@@ -121,14 +119,14 @@ TEST(L0Sampler, SupportCoverage) {
 }
 
 TEST(L0Sampler, IncompatibleMergeThrows) {
-  L0Sampler a(make_config(100, 1));
-  L0Sampler b(make_config(100, 2));
+  SketchBank a = make_sampler(100, 1);
+  SketchBank b = make_sampler(100, 2);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(L0Sampler, OutOfRangeThrows) {
-  L0Sampler a(make_config(10, 1));
-  EXPECT_THROW(a.update(10, 1), std::out_of_range);
+  SketchBank a = make_sampler(10, 1);
+  EXPECT_THROW(a.update(0, 10, 1), std::out_of_range);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "agm/spanning_forest.h"
 #include "graph/generators.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/l0_sampler.h"
 #include "sketch/linear_kv_sketch.h"
+#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "util/random.h"
 
@@ -75,21 +75,21 @@ TEST_P(LinearitySeeds, SparseRecoveryIsLinear) {
 
 TEST_P(LinearitySeeds, L0SamplerIsLinear) {
   const std::uint64_t seed = GetParam();
-  L0SamplerConfig config;
+  SketchBankConfig config;  // one vertex: a single-vector L0 sampler
   config.max_coord = 1 << 16;
   config.seed = seed;
   const auto s1 = random_updates(200, config.max_coord, seed * 5 + 1);
   const auto s2 = random_updates(120, config.max_coord, seed * 5 + 2);
-  L0Sampler combined(config);
-  L0Sampler a(config);
-  L0Sampler b(config);
+  SketchBank combined(1, config);
+  SketchBank a(1, config);
+  SketchBank b(1, config);
   for (const auto& u : s1) {
-    combined.update(u.coord, u.delta);
-    a.update(u.coord, u.delta);
+    combined.update(0, u.coord, u.delta);
+    a.update(0, u.coord, u.delta);
   }
   for (const auto& u : s2) {
-    combined.update(u.coord, u.delta);
-    b.update(u.coord, u.delta);
+    combined.update(0, u.coord, u.delta);
+    b.update(0, u.coord, u.delta);
   }
   combined.merge(a, -1);
   combined.merge(b, -1);

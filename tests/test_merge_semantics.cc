@@ -9,9 +9,8 @@
 #include <optional>
 #include <vector>
 
-#include "sketch/count_sketch.h"
-#include "sketch/l0_sampler.h"
 #include "sketch/linear_kv_sketch.h"
+#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "util/random.h"
 
@@ -113,19 +112,30 @@ TEST(MergeSemantics, SparseRecoveryCommutativeAndAssociative) {
   expect_same_decode(ab_c, a_bc);
 }
 
-// ---- L0Sampler ------------------------------------------------------------
+// ---- L0 sampler (a one-vertex SketchBank) --------------------------------
 
-[[nodiscard]] L0SamplerConfig l0_config(std::uint64_t seed) {
-  L0SamplerConfig c;
+[[nodiscard]] SketchBank l0_sampler(std::uint64_t seed) {
+  SketchBankConfig c;
   c.max_coord = kMaxCoord;
   c.instances = 6;
   c.seed = seed;
-  return c;
+  return SketchBank(1, c);
 }
 
-void expect_same_decode(const L0Sampler& a, const L0Sampler& b) {
-  const auto da = a.decode();
-  const auto db = b.decode();
+// Applies updates[i] for i = shard mod parts to a fresh sampler.
+[[nodiscard]] std::vector<SketchBank> shard_l0(
+    std::uint64_t seed, const std::vector<Update>& updates,
+    std::size_t parts) {
+  std::vector<SketchBank> samplers(parts, l0_sampler(seed));
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    samplers[i % parts].update(0, updates[i].coord, updates[i].delta);
+  }
+  return samplers;
+}
+
+void expect_same_decode(const SketchBank& a, const SketchBank& b) {
+  const auto da = a.decode(0);
+  const auto db = b.decode(0);
   ASSERT_EQ(da.has_value(), db.has_value());
   if (da.has_value()) {
     EXPECT_EQ(da->coord, db->coord);
@@ -135,79 +145,32 @@ void expect_same_decode(const L0Sampler& a, const L0Sampler& b) {
 
 TEST(MergeSemantics, L0SamplerShardMergeEqualsSequential) {
   const auto updates = make_updates(kMaxCoord, kSupport, 17);
-  L0Sampler sequential(l0_config(7));
-  for (const auto& u : updates) sequential.update(u.coord, u.delta);
-  auto parts = shard<L0Sampler>(l0_config(7), updates, kParts);
-  L0Sampler merged = parts[0];
+  SketchBank sequential = l0_sampler(7);
+  for (const auto& u : updates) sequential.update(0, u.coord, u.delta);
+  auto parts = shard_l0(7, updates, kParts);
+  SketchBank merged = parts[0];
   for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
   expect_same_decode(merged, sequential);
-  EXPECT_TRUE(merged.decode().has_value());
+  EXPECT_TRUE(merged.decode(0).has_value());
 }
 
 TEST(MergeSemantics, L0SamplerCommutativeAndAssociative) {
   const auto updates = make_updates(kMaxCoord, kSupport, 19);
-  auto parts = shard<L0Sampler>(l0_config(9), updates, 3);
+  auto parts = shard_l0(9, updates, 3);
 
-  L0Sampler ab = parts[0];
+  SketchBank ab = parts[0];
   ab.merge(parts[1], 1);
-  L0Sampler ba = parts[1];
+  SketchBank ba = parts[1];
   ba.merge(parts[0], 1);
-  L0Sampler ab_c = ab;
+  SketchBank ab_c = ab;
   ab_c.merge(parts[2], 1);
-  L0Sampler bc = parts[1];
+  SketchBank bc = parts[1];
   bc.merge(parts[2], 1);
-  L0Sampler a_bc = parts[0];
+  SketchBank a_bc = parts[0];
   a_bc.merge(bc, 1);
 
   expect_same_decode(ab, ba);
   expect_same_decode(ab_c, a_bc);
-}
-
-// ---- CountSketch ----------------------------------------------------------
-
-[[nodiscard]] CountSketchConfig cs_config(std::uint64_t seed) {
-  CountSketchConfig c;
-  c.max_coord = kMaxCoord;
-  c.width = 64;
-  c.rows = 5;
-  c.seed = seed;
-  return c;
-}
-
-void expect_same_estimates(const CountSketch& a, const CountSketch& b,
-                           const std::vector<Update>& updates) {
-  for (const auto& u : updates) {
-    EXPECT_DOUBLE_EQ(a.estimate(u.coord), b.estimate(u.coord));
-  }
-}
-
-TEST(MergeSemantics, CountSketchShardMergeEqualsSequential) {
-  const auto updates = make_updates(kMaxCoord, kSupport, 23);
-  CountSketch sequential(cs_config(11));
-  for (const auto& u : updates) sequential.update(u.coord, u.delta);
-  auto parts = shard<CountSketch>(cs_config(11), updates, kParts);
-  CountSketch merged = parts[0];
-  for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
-  expect_same_estimates(merged, sequential, updates);
-}
-
-TEST(MergeSemantics, CountSketchCommutativeAndAssociative) {
-  const auto updates = make_updates(kMaxCoord, kSupport, 29);
-  auto parts = shard<CountSketch>(cs_config(13), updates, 3);
-
-  CountSketch ab = parts[0];
-  ab.merge(parts[1], 1);
-  CountSketch ba = parts[1];
-  ba.merge(parts[0], 1);
-  CountSketch ab_c = ab;
-  ab_c.merge(parts[2], 1);
-  CountSketch bc = parts[1];
-  bc.merge(parts[2], 1);
-  CountSketch a_bc = parts[0];
-  a_bc.merge(bc, 1);
-
-  expect_same_estimates(ab, ba, updates);
-  expect_same_estimates(ab_c, a_bc, updates);
 }
 
 // ---- KvTableBank ----------------------------------------------------------

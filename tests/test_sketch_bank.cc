@@ -3,13 +3,13 @@
 //  1. Golden decode-equivalence: the bank's fast paths (threshold level
 //     computation, precomputed fingerprint terms, shared pair hashing,
 //     batched ingest) produce cells BIT-IDENTICAL to the legacy scalar
-//     L0Sampler algorithm (per-level loop-and-branch, OneSparseCell::add per
+//     sampler algorithm (per-level loop-and-branch, OneSparseCell::add per
 //     cell), reproduced here from the bank's own randomness accessors.
 //  2. Merge semantics on the bank: associativity/commutativity and k-way
 //     shard/merge identity, mirroring tests/test_merge_semantics.cc at the
 //     bank level (exact cell equality, not just equal decodes).
-//  3. Wrapper consistency: L0Sampler (bank-of-one) matches a multi-vertex
-//     bank fed the same per-vertex updates.
+//  3. Sampler consistency: one-vertex banks (single-vector samplers) match
+//     a multi-vertex bank fed the same per-vertex updates.
 //  4. BankGroup (the fused multi-round layout): cells bit-identical to an
 //     array of per-round SketchBanks with the same seeds across every
 //     ingest path (batched pairs incl. churn aggregation, batched vertex
@@ -24,7 +24,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sketch/l0_sampler.h"
 #include "sketch/sketch_bank.h"
 #include "util/prime_field.h"
 #include "util/random.h"
@@ -69,7 +68,7 @@ struct Update {
   return updates;
 }
 
-// The pre-bank scalar L0Sampler update algorithm, verbatim: per-instance
+// The pre-bank scalar sampler update algorithm, verbatim: per-instance
 // hash evaluation, then a per-level loop that breaks at the first level the
 // hash value fails to survive.
 void scalar_reference_update(const SketchBank& geometry,
@@ -174,19 +173,15 @@ TEST(SketchBankGolden, DecodeMatchesScalarReferenceDecode) {
 TEST(SketchBank, WrapperSamplersMatchBankStripes) {
   const auto updates = make_updates(4, 21);
   SketchBank bank(4, bank_config(46));
-  L0SamplerConfig sc;
-  sc.max_coord = kMaxCoord;
-  sc.instances = 4;
-  sc.seed = 46;
-  std::vector<L0Sampler> samplers(4, L0Sampler(sc));
+  std::vector<SketchBank> samplers(4, SketchBank(1, bank_config(46)));
   for (const Update& u : updates) {
     bank.update(u.vertex, u.coord, u.delta);
-    samplers[u.vertex].update(u.coord, u.delta);
+    samplers[u.vertex].update(0, u.coord, u.delta);
   }
   for (std::size_t v = 0; v < 4; ++v) {
-    expect_cells_equal(bank.stripe(v), samplers[v].bank().stripe(0));
+    expect_cells_equal(bank.stripe(v), samplers[v].stripe(0));
     const auto a = bank.decode(v);
-    const auto b = samplers[v].decode();
+    const auto b = samplers[v].decode(0);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
       EXPECT_EQ(a->coord, b->coord);

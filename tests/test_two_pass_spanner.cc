@@ -168,12 +168,31 @@ TEST(TwoPass, NominalBytesTrackTheorem1Formula) {
 
 TEST(TwoPass, PhaseDisciplineEnforced) {
   TwoPassSpanner spanner(16, make_config(2, 1));
-  EXPECT_THROW(spanner.pass2_update({0, 1, 1, 1.0}), std::logic_error);
+  const std::uint64_t coord = pair_id(0, 1, 16);
+  const std::vector<SpannerBatchEntry> entries = {{coord, 0, 1, 0, 1}};
+  const std::vector<std::uint64_t> ucoords = {coord};
+  EXPECT_THROW(spanner.pass2_ingest(entries), std::logic_error);
   EXPECT_THROW((void)spanner.finish(), std::logic_error);
   EXPECT_THROW((void)spanner.forest(), std::logic_error);
-  spanner.pass1_update({0, 1, 1, 1.0});
+  spanner.pass1_ingest(entries, ucoords);
   spanner.finish_pass1();
-  EXPECT_THROW(spanner.pass1_update({0, 1, 1, 1.0}), std::logic_error);
+  EXPECT_THROW(spanner.pass1_ingest(entries, ucoords), std::logic_error);
+}
+
+TEST(TwoPass, RejectsPass1RowsOutsideFastKernel) {
+  // The staged pass-1 scatter keeps one bucket per row inline, so the
+  // geometry accepts pass1_rows in [1, 4] and rejects the rest up front.
+  for (const std::size_t rows : {std::size_t{0}, std::size_t{5}}) {
+    TwoPassConfig config = make_config(2, 1);
+    config.pass1_rows = rows;
+    EXPECT_THROW(TwoPassSpanner(16, config), std::invalid_argument)
+        << "rows=" << rows;
+  }
+  for (std::size_t rows = 1; rows <= 4; ++rows) {
+    TwoPassConfig config = make_config(2, 1);
+    config.pass1_rows = rows;
+    EXPECT_NO_THROW(TwoPassSpanner(16, config)) << "rows=" << rows;
+  }
 }
 
 TEST(TwoPass, RejectsVertexCountBeyondBankLevelMask) {
@@ -260,8 +279,8 @@ TEST(TwoPass, StarGraphKeepsAllEdges) {
 TEST(TwoPass, BatchedAbsorbCellsMatchPerUpdatePath) {
   // Pass-1 pages after the batched absorb() (coordinate dedup + delta
   // aggregation + eval_many staging + grouped scatter) must be
-  // bit-identical to the same updates fed through pass1_update one at a
-  // time, and the final spanners must agree exactly.
+  // bit-identical to the same updates absorbed one at a time, and the final
+  // spanners must agree exactly.
   const Vertex n = 48;
   const auto updates = churny_updates(n, 211);
   const TwoPassConfig config = make_config(2, 223);
@@ -269,7 +288,7 @@ TEST(TwoPass, BatchedAbsorbCellsMatchPerUpdatePath) {
   TwoPassSpanner batched(n, config);
   TwoPassSpanner scalar(n, config);
   batched.absorb(updates);
-  for (const EdgeUpdate& u : updates) scalar.pass1_update(u);
+  for (const EdgeUpdate& u : updates) scalar.absorb({&u, 1});
 
   const std::size_t levels = batched.edge_sampling_levels();
   for (std::size_t j = 0; j < levels; ++j) {
@@ -280,7 +299,7 @@ TEST(TwoPass, BatchedAbsorbCellsMatchPerUpdatePath) {
   batched.advance_pass();
   scalar.advance_pass();
   batched.absorb(updates);
-  for (const EdgeUpdate& u : updates) scalar.pass2_update(u);
+  for (const EdgeUpdate& u : updates) scalar.absorb({&u, 1});
   batched.finish();
   scalar.finish();
   const TwoPassResult rb = batched.take_result();

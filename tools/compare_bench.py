@@ -15,10 +15,11 @@ on a row both sides share can fail.  Exit code is 0 unless:
 
 --normalize-by NAME divides every measurement by measurement NAME on BOTH
 sides before comparing, turning the absolute updates/sec compare into a
-machine-relative one.  CI uses `--normalize-by bank_update_scalar
---fail-over 25`: bank_update_scalar is the stable legacy-arithmetic row that
-every PR leaves untouched, so it calibrates out runner-speed differences,
-and only a >25% drop RELATIVE to the machine's own speed fails the job.
+machine-relative one.  CI uses `--normalize-by calibration --fail-over 25`
+for every micro-bench: `calibration` (bench/harness.h) is a fixed
+multiply-mod chain that calls no library code, so no change to the library
+can move it and it calibrates out runner-speed differences; only a >25%
+drop RELATIVE to the machine's own speed fails the job.
 """
 
 import argparse
@@ -41,8 +42,9 @@ def main():
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 on regression instead of warning")
     parser.add_argument("--fail-over", type=float, default=None, metavar="PCT",
-                        help="exit 1 if any measurement regressed by more "
-                             "than PCT percent (or went missing)")
+                        help="exit 1 if any shared measurement regressed by "
+                             "more than PCT percent (a row missing on one "
+                             "side only warns)")
     parser.add_argument("--normalize-by", default=None, metavar="NAME",
                         help="divide both sides by measurement NAME first "
                              "(cancels out machine-speed differences)")
@@ -109,7 +111,7 @@ def main():
             tag = "FAIL"
             failures.append(name)
         unit = "x anchor" if args.normalize_by is not None else "updates/sec"
-        fmt = ",.2f" if args.normalize_by is not None else ",.0f"
+        fmt = ".4g" if args.normalize_by is not None else ",.0f"
         print(f"{tag:>10}  {name}: {b:{fmt}} -> {c:{fmt}} {unit} "
               f"({(ratio - 1.0) * 100:+.1f}%)")
 
