@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <span>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "graph/generators.h"
+#include "edge_digest.h"
 #include "graph/shortest_paths.h"
+#include "serialize/serialize.h"
 
 namespace kw {
 namespace {
@@ -143,6 +149,95 @@ TEST(Additive, FinishTwiceThrows) {
   (void)sketch.finish();
   EXPECT_THROW((void)sketch.finish(), std::logic_error);
   EXPECT_THROW(sketch.update({0, 1, 1, 1.0}), std::logic_error);
+}
+
+// ---- goldens ---------------------------------------------------------------
+//
+// Pins everything a run produces -- the spanner (FNV-1a digest over its
+// sorted edges, |H|), every diagnostic and the nominal space claim -- over
+// fixed seeds, an ER graph (m = 8n) and a Barabasi-Albert graph, n = 256,
+// each streamed with 2n churn pairs.  d = 4 with threshold_factor 0.5 puts
+// the degree threshold (16) at the ER mean degree, so every run has
+// low-degree vertices (E_low, subtracted from the AGM sketch at finish),
+// attached high-degree vertices (the center bank) and a contracted forest.
+[[nodiscard]] AdditiveConfig golden_config(std::uint64_t seed) {
+  AdditiveConfig c = make_config(4, seed);
+  c.threshold_factor = 0.5;
+  return c;
+}
+
+TEST(Additive, GoldensPinned) {
+  struct Golden {
+    const char* family;  // "er" or "ba"
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+    AdditiveDiagnostics diagnostics;
+    std::size_t nominal_bytes;
+  };
+  const Golden goldens[] = {
+      {"er", 1, 1283, 0xc57bcf3c095e90c2ULL, {113, 0, 0, 184, 4, true}, 11589768},
+      {"er", 2, 1331, 0x711d6834fea058d6ULL, {114, 2, 0, 188, 5, true}, 11589768},
+      {"er", 3, 1360, 0x386f64792abe3423ULL, {117, 0, 0, 192, 3, true}, 11589768},
+      {"er", 7, 1410, 0x57c396ab31a62830ULL, {125, 1, 1, 187, 4, true}, 11589768},
+      {"ba", 1, 1549, 0x05f4d7100a7dac06ULL, {182, 0, 0, 220, 4, true}, 11589768},
+      {"ba", 2, 1554, 0x3482559aca75e29eULL, {183, 2, 0, 224, 4, true}, 11589768},
+      {"ba", 3, 1525, 0xe8febd060bbc159fULL, {180, 0, 0, 225, 4, true}, 11589768},
+      {"ba", 7, 1519, 0x02cd6925cf649906ULL, {179, 0, 0, 215, 4, true}, 11589768},
+  };
+  constexpr Vertex kN = 256;
+  for (const Golden& want : goldens) {
+    const std::string family = want.family;
+    const Graph g = family == "er" ? erdos_renyi_gnm(kN, 8 * kN, want.seed)
+                                   : barabasi_albert_graph(kN, 8, want.seed);
+    const DynamicStream stream =
+        DynamicStream::with_churn(g, 2 * kN, want.seed + 1);
+    AdditiveSpannerSketch sketch(kN, golden_config(want.seed));
+    const AdditiveResult result = sketch.run(stream);
+    const std::string what = family + " seed=" + std::to_string(want.seed);
+    const AdditiveDiagnostics& got = result.diagnostics;
+    const AdditiveDiagnostics& exp = want.diagnostics;
+    EXPECT_EQ(result.spanner.m(), want.edges) << what;
+    EXPECT_EQ(edge_digest(result.spanner), want.digest) << what;
+    EXPECT_EQ(got.low_degree_vertices, exp.low_degree_vertices) << what;
+    EXPECT_EQ(got.low_decode_failures, exp.low_decode_failures) << what;
+    EXPECT_EQ(got.unattached_high_degree, exp.unattached_high_degree) << what;
+    EXPECT_EQ(got.clusters, exp.clusters) << what;
+    EXPECT_EQ(got.forest_rounds, exp.forest_rounds) << what;
+    EXPECT_EQ(got.forest_complete, exp.forest_complete) << what;
+    EXPECT_EQ(result.nominal_bytes, want.nominal_bytes) << what;
+  }
+}
+
+TEST(Additive, MidPassFixtureRestoresAndFinishes) {
+  // tests/data/additive_midpass_checkpoint.kwsk was written while the
+  // center samplers were a standalone single-bank class: n = 16, d = 4,
+  // threshold_factor 0.25, seed 5, after one absorb() of the first 56 of
+  // the 112 updates of with_churn(erdos_renyi_gnm(16, 48, 7), 32, 11).  It
+  // must load, re-save to the same bytes, and finish the pass to the
+  // pinned spanner.
+  std::ifstream f(KW_SOURCE_DIR "/tests/data/additive_midpass_checkpoint.kwsk",
+                  std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  AdditiveConfig config = make_config(4, 5);
+  config.threshold_factor = 0.25;
+  AdditiveSpannerSketch sketch(16, config);
+  ser::load_from_bytes(bytes.str(), sketch);
+  EXPECT_TRUE(ser::save_to_bytes(sketch) == bytes.str());
+
+  const DynamicStream stream =
+      DynamicStream::with_churn(erdos_renyi_gnm(16, 48, 7), 32, 11);
+  const std::vector<EdgeUpdate>& ups = stream.updates();
+  ASSERT_EQ(ups.size(), 112u);
+  sketch.absorb(std::span<const EdgeUpdate>(ups).subspan(56));
+  sketch.finish();
+  const AdditiveResult result = sketch.take_result();
+  EXPECT_EQ(result.spanner.m(), 17u);
+  EXPECT_EQ(edge_digest(result.spanner), 0xf0252aa3dd910db1ULL);
+  EXPECT_EQ(result.diagnostics.low_degree_vertices, 2u);
+  EXPECT_EQ(result.diagnostics.clusters, 10u);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "graph/connectivity.h"
 #include "graph/generators.h"
+#include "edge_digest.h"
+#include "engine/stream_engine.h"
 #include "stream/dynamic_stream.h"
 
 namespace kw {
@@ -172,6 +175,51 @@ TEST(AgmSketch, IncompatibleMergeThrows) {
   AgmGraphSketch a(10, make_config(1));
   AgmGraphSketch b(10, make_config(2));
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+// ---- goldens ---------------------------------------------------------------
+//
+// Pins the spanning forest (FNV-1a digest over its sorted edges, |F|,
+// Boruvka rounds used, completeness) and its decode-failure count over
+// fixed seeds, an ER graph (m = 8n) and a Barabasi-Albert graph, n = 256,
+// each streamed with 2n churn pairs through the engine.
+TEST(SpanningForest, GoldensPinned) {
+  struct Golden {
+    const char* family;  // "er" or "ba"
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+    std::size_t decode_failures;
+    std::size_t rounds_used;
+    bool complete;
+  };
+  const Golden goldens[] = {
+      {"er", 1, 255, 0xfb0693cd945b1e22ULL, 3, 4, true},
+      {"er", 2, 255, 0x5cfc0af62111115aULL, 2, 4, true},
+      {"er", 3, 255, 0x8a157966483527e0ULL, 0, 5, true},
+      {"er", 7, 255, 0x5406e4dfde90a7a5ULL, 2, 5, true},
+      {"ba", 1, 255, 0xf99738360145f704ULL, 0, 5, true},
+      {"ba", 2, 255, 0x8469105eb67e48d8ULL, 1, 4, true},
+      {"ba", 3, 255, 0xb24ca662b19c7896ULL, 0, 4, true},
+      {"ba", 7, 255, 0x3cec60fac51352b8ULL, 4, 4, true},
+  };
+  constexpr Vertex kN = 256;
+  for (const Golden& want : goldens) {
+    const std::string family = want.family;
+    const Graph g = family == "er" ? erdos_renyi_gnm(kN, 8 * kN, want.seed)
+                                   : barabasi_albert_graph(kN, 8, want.seed);
+    const DynamicStream stream =
+        DynamicStream::with_churn(g, 2 * kN, want.seed + 1);
+    SpanningForestProcessor processor(kN, make_config(want.seed));
+    StreamEngine::run_single(processor, stream);
+    const ForestResult forest = processor.take_result();
+    const std::string what = family + " seed=" + std::to_string(want.seed);
+    EXPECT_EQ(forest.edges.size(), want.edges) << what;
+    EXPECT_EQ(edge_digest(forest.edges), want.digest) << what;
+    EXPECT_EQ(forest.decode_failures, want.decode_failures) << what;
+    EXPECT_EQ(forest.rounds_used, want.rounds_used) << what;
+    EXPECT_EQ(forest.complete, want.complete) << what;
+  }
 }
 
 }  // namespace

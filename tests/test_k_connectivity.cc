@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/min_cut.h"
+#include "edge_digest.h"
 
 namespace kw {
 namespace {
@@ -118,6 +120,55 @@ TEST(KConnectivity, DistributedMerge) {
 TEST(KConnectivity, RejectsZeroK) {
   EXPECT_THROW(KConnectivitySketch(10, 0, make_config(1)),
                std::invalid_argument);
+}
+
+// ---- goldens ---------------------------------------------------------------
+//
+// Pins the certificate (FNV-1a digest over its sorted edges, |certificate|,
+// completeness) and every layer's decode-failure count for k = 3 over fixed
+// seeds, an ER graph (m = 8n) and a Barabasi-Albert graph, n = 256, each
+// streamed with 2n churn pairs.  Layers 2 and 3 decode only after the
+// earlier forests are subtracted from them, so any change to how bank cells
+// are written -- during the stream or by that subtraction -- must reproduce
+// these exactly.
+TEST(KConnectivity, GoldensPinned) {
+  struct Golden {
+    const char* family;  // "er" or "ba"
+    std::uint64_t seed;
+    std::size_t edges;
+    std::uint64_t digest;
+    bool complete;
+    std::size_t failures[3];  // per layer
+  };
+  const Golden goldens[] = {
+      {"er", 1, 765, 0x680f22e0254af75dULL, true, {1, 2, 3}},
+      {"er", 2, 765, 0xaa1bef9276c881c7ULL, true, {0, 1, 0}},
+      {"er", 3, 765, 0x5a806a3f2fbc9020ULL, true, {0, 3, 1}},
+      {"er", 7, 765, 0x230b038c1acc4051ULL, true, {0, 1, 4}},
+      {"ba", 1, 765, 0xcd7d06ec03355bc7ULL, true, {2, 4, 4}},
+      {"ba", 2, 765, 0x4c4d3dea14eb895aULL, true, {1, 4, 2}},
+      {"ba", 3, 765, 0x676fe406f0a980abULL, true, {2, 0, 2}},
+      {"ba", 7, 765, 0xa29981da4ab96c99ULL, true, {1, 0, 2}},
+  };
+  constexpr Vertex kN = 256;
+  for (const Golden& want : goldens) {
+    const std::string family = want.family;
+    const Graph g = family == "er" ? erdos_renyi_gnm(kN, 8 * kN, want.seed)
+                                   : barabasi_albert_graph(kN, 8, want.seed);
+    const DynamicStream stream =
+        DynamicStream::with_churn(g, 2 * kN, want.seed + 1);
+    const KConnectivityResult result =
+        KConnectivitySketch::from_stream(stream, 3, make_config(want.seed));
+    const std::string what = family + " seed=" + std::to_string(want.seed);
+    EXPECT_EQ(result.certificate.m(), want.edges) << what;
+    EXPECT_EQ(edge_digest(result.certificate), want.digest) << what;
+    EXPECT_EQ(result.complete, want.complete) << what;
+    ASSERT_EQ(result.decode_failures_per_layer.size(), 3u) << what;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(result.decode_failures_per_layer[i], want.failures[i])
+          << what << " layer " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -195,6 +196,38 @@ TEST(Multipass, RejectsCheckpointFromBeforeKvTableBank) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Multipass, MidPhaseFixtureRestoresAndFinishes) {
+  // tests/data/multipass_midphase_checkpoint.kwsk is a current-format
+  // mid-phase-2 checkpoint, written while the re-homing samplers were a
+  // standalone single-bank class: n = 16, k = 3, seed 5, the whole of
+  // with_churn(erdos_renyi_gnm(16, 48, 7), 32, 11) (112 updates) in phase
+  // 1, then one absorb() of its first 56 updates in phase 2.  It must load,
+  // re-save to the same bytes, and finish phases 2 and 3 to the pinned
+  // spanner.
+  std::ifstream f(
+      KW_SOURCE_DIR "/tests/data/multipass_midphase_checkpoint.kwsk",
+      std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  MultipassSpanner spanner(16, make_config(3, 5));
+  ser::load_from_bytes(bytes.str(), spanner);
+  EXPECT_TRUE(ser::save_to_bytes(spanner) == bytes.str());
+
+  const DynamicStream stream =
+      DynamicStream::with_churn(erdos_renyi_gnm(16, 48, 7), 32, 11);
+  const std::span<const EdgeUpdate> ups(stream.updates());
+  ASSERT_EQ(ups.size(), 112u);
+  spanner.absorb(ups.subspan(56));
+  spanner.advance_pass();
+  spanner.absorb(ups);
+  spanner.finish();
+  const MultipassResult result = spanner.take_result();
+  EXPECT_EQ(result.spanner.m(), 36u);
+  EXPECT_EQ(edge_digest(result.spanner), 0xea043a61dca0a367ULL);
+  EXPECT_EQ(result.unrecovered, 0u);
 }
 
 }  // namespace
