@@ -4,10 +4,12 @@
 // and sizes; space against the O(n log^3 n) claim; the supernode-collapse
 // and edge-subtraction modes the additive spanner relies on; update
 // throughput.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "agm/spanning_forest.h"
 #include "bench/table.h"
@@ -86,16 +88,21 @@ void run_supernode_mode(Table& table, Vertex n, std::uint64_t seed) {
   AgmConfig config;
   config.seed = seed + 1;
   AgmGraphSketch sketch(n, config);
-  for (const auto& e : g.edges()) sketch.update(e.u, e.v, 1);
+  std::vector<EdgeUpdate> inserts;
+  for (const auto& e : g.edges()) inserts.push_back({e.u, e.v});
+  sketch.absorb(inserts);
   Graph remaining(n);
+  std::vector<BankPairUpdate> removed;
   for (std::size_t i = 0; i < g.m(); ++i) {
     const auto& e = g.edges()[i];
     if (i % 4 == 0) {
-      sketch.subtract_edge(e.u, e.v, 1);
+      removed.push_back({std::min(e.u, e.v), std::max(e.u, e.v),
+                         pair_id(e.u, e.v, n), -1});
     } else {
       remaining.add_edge(e.u, e.v);
     }
   }
+  sketch.ingest_staged(removed);
   std::vector<std::uint32_t> partition(n);
   for (Vertex v = 0; v < n; ++v) partition[v] = v / 4;
   const ForestResult forest = agm_spanning_forest(sketch, partition);

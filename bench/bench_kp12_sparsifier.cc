@@ -45,9 +45,6 @@ namespace {
 using namespace kw;
 using namespace kw::bench;
 
-// Best-of-N wall clock (see bench_sketch_hotpath.cc): regression compares
-// want stability, not jitter.
-constexpr int kReps = 3;
 constexpr std::size_t kBatch = 16384;
 
 // Feed the stream `passes` of ingest (absorb-only timing; advance_pass is
@@ -92,18 +89,17 @@ void run_ingest(std::vector<Result>& results, bool quick) {
   Result fused;
   fused.name = "kp12_ingest_fused";
   fused.updates = 2 * feed_reps * ups.size();
-  fused.ms = std::numeric_limits<double>::infinity();
   Result between;
   between.name = "kp12_between_passes";
   between.updates = ups.size();
   between.ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+  fused.ms = best_ms([&] {
     Kp12Sparsifier sparsifier(n, config);
     double between_ms = 0.0;
     const double ms = ingest_once(sparsifier, ups, feed_reps, &between_ms);
-    fused.ms = std::min(fused.ms, ms);
     between.ms = std::min(between.ms, between_ms);
-  }
+    return ms;
+  });
 
   // Worker sweep: the same fused workload pinned to explicit lane counts.
   // Rows are machine-relative context (on a 1-thread box they coincide with
@@ -115,12 +111,10 @@ void run_ingest(std::vector<Result>& results, bool quick) {
     Result row;
     row.name = "kp12_ingest_fused_w" + std::to_string(workers);
     row.updates = 2 * feed_reps * ups.size();
-    row.ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
+    row.ms = best_ms([&] {
       Kp12Sparsifier sparsifier(n, wc);
-      const double ms = ingest_once(sparsifier, ups, feed_reps, nullptr);
-      row.ms = std::min(row.ms, ms);
-    }
+      return ingest_once(sparsifier, ups, feed_reps, nullptr);
+    });
     results.push_back(row);
   }
 
@@ -136,15 +130,15 @@ void run_ingest(std::vector<Result>& results, bool quick) {
     Result row;
     row.name = "kp12_finish_decode_w" + std::to_string(workers);
     row.updates = ups.size();
-    row.ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
+    row.ms = best_ms([&] {
       Kp12Sparsifier sparsifier(n, dc);
       (void)ingest_once(sparsifier, ups, 1, nullptr);
       Timer timer;
       sparsifier.finish();
-      row.ms = std::min(row.ms, timer.millis());
+      const double ms = timer.millis();
       (void)sparsifier.take_result();
-    }
+      return ms;
+    });
     results.push_back(row);
   }
 

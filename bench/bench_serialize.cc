@@ -46,9 +46,6 @@ namespace {
 using namespace kw;
 using namespace kw::bench;
 
-constexpr int kReps = 9;  // best-of wall clock; high rep count because the
-                          // fault-hooks gate compares ~10 ms quick-mode rows
-
 [[nodiscard]] std::vector<std::tuple<Vertex, Vertex>> forest_edges(
     ForestResult result) {
   std::vector<std::tuple<Vertex, Vertex>> edges;
@@ -111,14 +108,13 @@ int main(int argc, char** argv) {
   {
     Result r;
     r.name = "forest_save";
-    r.ms = 1e300;
     r.ok = true;
     std::string bytes;
-    for (int rep = 0; rep < kReps; ++rep) {
+    r.ms = best_ms([&] {
       Timer timer;
       bytes = ser::save_to_bytes(ingested);
-      r.ms = std::min(r.ms, timer.millis());
-    }
+      return timer.millis();
+    });
     r.updates = bytes.size();
     results.push_back(r);
 
@@ -126,15 +122,15 @@ int main(int argc, char** argv) {
     Result l;
     l.name = "forest_load";
     l.updates = bytes.size();
-    l.ms = 1e300;
     l.ok = true;
-    for (int rep = 0; rep < kReps; ++rep) {
+    l.ms = best_ms([&] {
       SpanningForestProcessor fresh(n, config);
       Timer timer;
       ser::load_from_bytes(bytes, fresh);
-      l.ms = std::min(l.ms, timer.millis());
+      const double ms = timer.millis();
       l.ok = l.ok && ser::save_to_bytes(fresh) == bytes;  // bit identity
-    }
+      return ms;
+    });
     results.push_back(l);
   }
 
@@ -143,17 +139,17 @@ int main(int argc, char** argv) {
     Result r;
     r.name = "forest_ingest_plain";
     r.updates = stream.size();
-    r.ms = 1e300;
     r.ok = true;
-    for (int rep = 0; rep < kReps; ++rep) {
+    r.ms = best_ms([&] {
       SpanningForestProcessor processor(n, config);
       StreamEngine engine(StreamEngineOptions{batch, /*shards=*/1});
       engine.attach(processor);
       Timer timer;
       (void)engine.run(stream);
-      r.ms = std::min(r.ms, timer.millis());
+      const double ms = timer.millis();
       r.ok = r.ok && forest_edges(processor.take_result()) == reference;
-    }
+      return ms;
+    });
     results.push_back(r);
   }
 
@@ -162,9 +158,8 @@ int main(int argc, char** argv) {
     Result r;
     r.name = "forest_ingest_fault_hooks";
     r.updates = stream.size();
-    r.ms = 1e300;
     r.ok = true;
-    for (int rep = 0; rep < kReps; ++rep) {
+    r.ms = best_ms([&] {
       SpanningForestProcessor processor(n, config);
       StreamEngine engine(StreamEngineOptions{batch, /*shards=*/1});
       engine.attach(processor);
@@ -178,9 +173,10 @@ int main(int argc, char** argv) {
         if (fault::fire(fault::site::kEngineAbsorbBatch)) r.ok = false;
       }
       (void)engine.run(stream);
-      r.ms = std::min(r.ms, timer.millis());
+      const double ms = timer.millis();
       r.ok = r.ok && forest_edges(processor.take_result()) == reference;
-    }
+      return ms;
+    });
     results.push_back(r);
   }
 
@@ -190,9 +186,8 @@ int main(int argc, char** argv) {
     Result r;
     r.name = "forest_ingest_checkpointed";
     r.updates = stream.size();
-    r.ms = 1e300;
     r.ok = true;
-    for (int rep = 0; rep < kReps; ++rep) {
+    r.ms = best_ms([&] {
       StreamEngineOptions options;
       options.batch_size = batch;
       // ~8 checkpoints over the run: frequent enough to measure, sparse
@@ -204,9 +199,10 @@ int main(int argc, char** argv) {
       engine.attach(processor);
       Timer timer;
       (void)engine.run(stream);
-      r.ms = std::min(r.ms, timer.millis());
+      const double ms = timer.millis();
       r.ok = r.ok && forest_edges(processor.take_result()) == reference;
-    }
+      return ms;
+    });
     std::remove(ckpt_path.c_str());
     results.push_back(r);
   }

@@ -1,7 +1,7 @@
 // Sketch-bank hot-path throughput: the edge-ingest numbers the fused
 // BankGroup refactor is accountable for.
 //
-// Six measurements, each a self-checking end-to-end ingest, plus the
+// Five measurements, each a self-checking end-to-end ingest, plus the
 // calibration row:
 //   spanning_forest_ingest       AGM spanning forest via StreamEngine,
 //                                batched (churn stream: dedupe/cancellation
@@ -10,12 +10,10 @@
 //   agm_rounds_fused             raw 12-round BankGroup ingest, distinct
 //                                pairs (layout/staging fusion isolated)
 //   agm_rounds_legacy_per_round  the same updates through 12 independent
-//                                per-round SketchBanks (the pre-fusion
-//                                layout; cells must match bit-for-bit)
+//                                one-group BankGroups (the pre-fusion
+//                                per-round layout; cells must match
+//                                bit-for-bit)
 //   bank_ingest_batched          raw one-group ingest_pairs (no engine)
-//   bank_update_scalar           the same updates through per-vertex
-//                                one-vertex SketchBanks (the pre-refactor
-//                                one-object-per-vertex layout) for context
 //   calibration                  the machine-speed anchor (bench/harness.h)
 //
 // Emits BENCH_sketch_hotpath.json (schema: bench/harness.h); the committed
@@ -26,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -37,7 +34,7 @@
 #include "bench/table.h"
 #include "engine/stream_engine.h"
 #include "graph/generators.h"
-#include "sketch/sketch_bank.h"
+#include "sketch/bank_group.h"
 #include "stream/dynamic_stream.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -46,12 +43,6 @@ namespace {
 
 using namespace kw;
 using namespace kw::bench;
-
-// Best-of-N wall clock: each measurement re-runs its full ingest kReps times
-// and reports the fastest, which screens out scheduler noise on shared
-// machines (the numbers feed a regression-compare, so stability matters
-// more than capturing average-case jitter).
-constexpr int kReps = 5;
 
 // Engine batch size: the fused BankGroup path amortizes staging, hashing,
 // churn cancellation and the vertex-grouped scatter over the batch, so
@@ -84,18 +75,17 @@ constexpr std::size_t kEngineBatch = 65536;
   Result r;
   r.name = "spanning_forest_ingest";
   r.updates = stream.size();
-  r.ms = std::numeric_limits<double>::infinity();
-
   std::vector<std::tuple<Vertex, Vertex>> reference;
-  for (int rep = 0; rep < kReps; ++rep) {
+  r.ms = best_ms([&] {
     SpanningForestProcessor sequential(n, config);
     StreamEngine engine(StreamEngineOptions{kEngineBatch, /*shards=*/1});
     engine.attach(sequential);
     Timer timer;
     (void)engine.run(stream);
-    r.ms = std::min(r.ms, timer.millis());
+    const double ms = timer.millis();
     reference = forest_edges(sequential.take_result());
-  }
+    return ms;
+  });
 
   SpanningForestProcessor sharded(n, config);
   StreamEngine sharded_engine(StreamEngineOptions{kEngineBatch, /*shards=*/4});
@@ -116,24 +106,21 @@ constexpr std::size_t kEngineBatch = 65536;
   Result r;
   r.name = "k_connectivity_ingest";
   r.updates = stream.size();
-  r.ms = std::numeric_limits<double>::infinity();
-
-  for (int rep = 0; rep < kReps; ++rep) {
+  r.ms = best_ms([&] {
     KConnectivitySketch sketch(n, k, config);
     StreamEngine engine(StreamEngineOptions{kEngineBatch, /*shards=*/1});
     engine.attach(sketch);
     Timer timer;
     (void)engine.run(stream);
-    r.ms = std::min(r.ms, timer.millis());
+    const double ms = timer.millis();
     const auto result = sketch.take_result();
     r.ok = result.complete && result.forests.size() == k;
-  }
+    return ms;
+  });
   return r;
 }
 
-// Raw bank throughput on synthetic pair updates, against the same updates
-// through per-vertex one-vertex banks (the pre-refactor one-object-per-
-// vertex layout: per-call hashing, no term sharing between endpoints).
+// Raw bank throughput on synthetic all-distinct pair updates.
 [[nodiscard]] std::vector<BankPairUpdate> synthetic_pairs(Vertex n,
                                                           std::size_t count) {
   Rng rng(29);
@@ -152,16 +139,17 @@ constexpr std::size_t kEngineBatch = 65536;
   return updates;
 }
 
-[[nodiscard]] SketchBankConfig synthetic_config(Vertex n) {
-  SketchBankConfig c;
+// A one-group bank over n's pair coordinates.
+[[nodiscard]] BankGroupConfig synthetic_config(Vertex n, std::uint64_t seed) {
+  BankGroupConfig c;
   c.max_coord = num_pairs(n);
   c.instances = 4;
-  c.seed = 31;
+  c.seeds = {seed};
   return c;
 }
 
 // Fused multi-round ingest (ONE BankGroup holding all rounds) vs the
-// pre-fusion legacy layout (one independent SketchBank per round, each
+// pre-fusion legacy layout (one independent one-group bank per round, each
 // re-staging and re-sweeping the batch) -- the 12-round shape of
 // AgmGraphSketch on synthetic all-distinct pairs, so the comparison
 // isolates staging/layout fusion rather than churn cancellation.  The
@@ -185,15 +173,14 @@ constexpr std::size_t kEngineBatch = 65536;
   Result r;
   r.name = "agm_rounds_fused";
   r.updates = count;
-  r.ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+  r.ms = best_ms([&] {
     BankGroup group(n, c);
     Timer timer;
     for (std::size_t i = 0; i < updates.size(); i += kEngineBatch) {
       const std::size_t len = std::min(kEngineBatch, updates.size() - i);
       group.ingest_pairs({updates.data() + i, len});
     }
-    r.ms = std::min(r.ms, timer.millis());
+    const double ms = timer.millis();
     out->clear();
     for (std::size_t g = 0; g < rounds; ++g) {
       for (std::size_t v = 0; v < n; ++v) {
@@ -201,7 +188,8 @@ constexpr std::size_t kEngineBatch = 65536;
         out->insert(out->end(), stripe.begin(), stripe.end());
       }
     }
-  }
+    return ms;
+  });
   return r;
 }
 
@@ -213,15 +201,10 @@ constexpr std::size_t kEngineBatch = 65536;
   Result r;
   r.name = "agm_rounds_legacy_per_round";
   r.updates = count;
-  r.ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<SketchBank> banks;
+  r.ms = best_ms([&] {
+    std::vector<BankGroup> banks;
     for (std::size_t g = 0; g < rounds; ++g) {
-      SketchBankConfig c;
-      c.max_coord = num_pairs(n);
-      c.instances = 4;
-      c.seed = seeds[g];
-      banks.emplace_back(n, c);
+      banks.emplace_back(n, synthetic_config(n, seeds[g]));
     }
     Timer timer;
     for (std::size_t i = 0; i < updates.size(); i += kEngineBatch) {
@@ -230,14 +213,14 @@ constexpr std::size_t kEngineBatch = 65536;
         bank.ingest_pairs({updates.data() + i, len});
       }
     }
-    r.ms = std::min(r.ms, timer.millis());
+    const double ms = timer.millis();
     // Identity: the fused group and the per-round banks share seeds, so
     // every round's cells must agree exactly.
     r.ok = true;
     std::size_t offset = 0;
     for (std::size_t g = 0; g < rounds; ++g) {
       for (std::size_t v = 0; v < n; ++v) {
-        for (const auto& cell : banks[g].stripe(v)) {
+        for (const auto& cell : banks[g].stripe(0, v)) {
           const auto& expect = ref[offset++];
           r.ok = r.ok && cell.count == expect.count &&
                  cell.coord_sum == expect.coord_sum &&
@@ -245,64 +228,25 @@ constexpr std::size_t kEngineBatch = 65536;
         }
       }
     }
-  }
+    return ms;
+  });
   return r;
 }
 
-[[nodiscard]] Result bank_ingest_batched(Vertex n, std::size_t count,
-                                         std::vector<OneSparseCell>* out) {
+[[nodiscard]] Result bank_ingest_batched(Vertex n, std::size_t count) {
   const auto updates = synthetic_pairs(n, count);
   Result r;
   r.name = "bank_ingest_batched";
   r.updates = count;
-  r.ms = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kBatch = kEngineBatch;
-  for (int rep = 0; rep < kReps; ++rep) {
-    SketchBank bank(n, synthetic_config(n));
+  r.ms = best_ms([&] {
+    BankGroup bank(n, synthetic_config(n, 31));
     Timer timer;
-    for (std::size_t i = 0; i < updates.size(); i += kBatch) {
-      const std::size_t len = std::min(kBatch, updates.size() - i);
+    for (std::size_t i = 0; i < updates.size(); i += kEngineBatch) {
+      const std::size_t len = std::min(kEngineBatch, updates.size() - i);
       bank.ingest_pairs({updates.data() + i, len});
     }
-    r.ms = std::min(r.ms, timer.millis());
-    out->clear();
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto stripe = bank.stripe(v);
-      out->insert(out->end(), stripe.begin(), stripe.end());
-    }
-  }
-  return r;
-}
-
-[[nodiscard]] Result bank_update_scalar(Vertex n, std::size_t count,
-                                        const std::vector<OneSparseCell>& ref) {
-  const auto updates = synthetic_pairs(n, count);
-  Result r;
-  r.name = "bank_update_scalar";
-  r.updates = count;
-  r.ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<SketchBank> samplers(n, SketchBank(1, synthetic_config(n)));
-    Timer timer;
-    for (const auto& u : updates) {
-      samplers[u.lo].update(0, u.coord, u.delta);
-      samplers[u.hi].update(0, u.coord, -u.delta);
-    }
-    r.ms = std::min(r.ms, timer.millis());
-    // Identity: per-vertex samplers and the flat bank share seed semantics,
-    // so their cells must agree exactly.
-    r.ok = true;
-    std::size_t offset = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto stripe = samplers[v].stripe(0);
-      for (const auto& cell : stripe) {
-        const auto& expect = ref[offset++];
-        r.ok = r.ok && cell.count == expect.count &&
-               cell.coord_sum == expect.coord_sum && cell.fp1 == expect.fp1 &&
-               cell.fp2 == expect.fp2;
-      }
-    }
-  }
+    return timer.millis();
+  });
   return r;
 }
 
@@ -340,9 +284,7 @@ int main(int argc, char** argv) {
                                       fused_cells));
   fused_cells.clear();
   fused_cells.shrink_to_fit();
-  std::vector<OneSparseCell> bank_cells;
-  results.push_back(bank_ingest_batched(n, raw_updates, &bank_cells));
-  results.push_back(bank_update_scalar(n, raw_updates, bank_cells));
+  results.push_back(bank_ingest_batched(n, raw_updates));
 
   Table table({"measurement", "updates", "ingest ms", "updates/sec",
                "self-check", "verdict"});
@@ -360,8 +302,7 @@ int main(int argc, char** argv) {
       "coordinate dedupe + net-zero cancellation apply); agm_rounds_fused "
       "vs agm_rounds_legacy_per_round isolates the multi-round fusion win "
       "on all-distinct pairs (bit-identical cells required); "
-      "bank_ingest_batched vs bank_update_scalar isolates the flat-bank "
-      "layout win at equal arithmetic.\n");
+      "bank_ingest_batched is the raw one-group ingest.\n");
 
   results.push_back(calibration());
   write_json("sketch_hotpath", results, out, quick);

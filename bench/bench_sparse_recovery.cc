@@ -83,7 +83,7 @@ void bm_update(benchmark::State& state) {
 BENCHMARK(bm_update)->Arg(8)->Arg(64);
 
 // Hashing in isolation: per-call Horner vs the batched eval_many kernel the
-// SketchBank ingest path uses.  Same polynomial, bit-identical outputs; the
+// BankGroup ingest path uses.  Same polynomial, bit-identical outputs; the
 // batched form wins by hiding the 128-bit multiply latency across four
 // interleaved chains.
 void bm_hash_eval(benchmark::State& state) {

@@ -40,10 +40,6 @@ namespace {
 using namespace kw;
 using namespace kw::bench;
 
-// Best-of-N wall clock, same policy as bench_sketch_hotpath: each
-// measurement re-runs its full ingest kReps times and keeps the minimum.
-constexpr int kReps = 5;
-
 [[nodiscard]] std::vector<std::tuple<Vertex, Vertex>> forest_edges(
     ForestResult result) {
   std::vector<std::tuple<Vertex, Vertex>> edges;
@@ -61,21 +57,21 @@ constexpr int kReps = 5;
   Result r;
   r.name = name;
   r.updates = stream.size();
-  r.ms = 1e300;
   r.ok = true;
-  for (int rep = 0; rep < kReps; ++rep) {
+  r.ms = best_ms([&] {
     SpanningForestProcessor processor(n, config);
     StreamEngine engine(StreamEngineOptions{batch_size, workers});
     engine.attach(processor);
     Timer timer;
     const EngineRunStats stats = engine.run(stream);
-    r.ms = std::min(r.ms, timer.millis());
+    const double ms = timer.millis();
     const auto edges = forest_edges(processor.take_result());
     // Exactness gate: merged worker clones decode the same forest as the
     // sequential reference, every rep, before any number is reported.
     r.ok = r.ok && stats.updates_per_pass == stream.size() &&
            (reference.empty() || edges == reference);
-  }
+    return ms;
+  });
   return r;
 }
 

@@ -1,6 +1,7 @@
 // Shared harness of the JSON-emitting micro-benches (bench_stream_engine,
 // bench_kp12_sparsifier, bench_sketch_hotpath, bench_serialize): one result
-// row type, the machine-speed calibration row, and the BENCH_*.json writer.
+// row type, one best-of-N timing loop, the machine-speed calibration row,
+// and the BENCH_*.json writer.
 //
 // tools/compare_bench.py compares a fresh run against a committed baseline
 // after dividing every row by the `calibration` row on both sides
@@ -35,11 +36,31 @@ struct Result {
   }
 };
 
-// Best of five runs of a 2^24-step chain x <- (x * a + i) mod p, p the
-// largest 64-bit prime.  Each step depends on the previous one, so the row
-// times the core's multiply/divide latency alone (~0.1 s per run).
+// Best-of-N wall clock: calls `rep` -- one repetition of a row, returning
+// the milliseconds of its own timed region -- until at least 5 repetitions
+// AND 300 ms of timed work have run, and returns the fastest.  The time
+// floor gives short rows as many tries as long ones get from the rep
+// floor; the minimum screens out scheduler noise on shared machines (the
+// numbers feed a regression compare, so stability matters more than
+// average-case jitter).
+template <class Rep>
+[[nodiscard]] double best_ms(Rep&& rep) {
+  constexpr int kMinReps = 5;
+  constexpr double kMinTotalMs = 300.0;
+  double best = std::numeric_limits<double>::infinity();
+  double total = 0.0;
+  for (int reps = 0; reps < kMinReps || total < kMinTotalMs; ++reps) {
+    const double ms = rep();
+    best = std::min(best, ms);
+    total += ms;
+  }
+  return best;
+}
+
+// Best of N (best_ms) runs of a 2^24-step chain x <- (x * a + i) mod p, p
+// the largest 64-bit prime.  Each step depends on the previous one, so the
+// row times the core's multiply/divide latency alone (~0.1 s per run).
 [[nodiscard]] inline Result calibration() {
-  constexpr int kReps = 5;
   constexpr std::uint64_t kSteps = std::uint64_t{1} << 24;
   constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
   constexpr std::uint64_t kPrime = 0xffffffffffffffc5ULL;
@@ -50,16 +71,15 @@ struct Result {
   Result r;
   r.name = "calibration";
   r.updates = kSteps;
-  r.ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+  r.ms = best_ms([&] {
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t x = seed;
     for (std::uint64_t i = 0; i < kSteps; ++i) x = (x * kMul + i) % kPrime;
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
     sink = x;
-    r.ms = std::min(r.ms, elapsed.count());
-  }
+    return elapsed.count();
+  });
   std::printf("calibration: %zu multiply-mod steps in %.1f ms\n", r.updates,
               r.ms);
   return r;

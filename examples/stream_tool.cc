@@ -129,9 +129,7 @@ int run_additive(Vertex n, double d, const DynamicStream& stream) {
 int run_forest(Vertex n, const DynamicStream& stream) {
   AgmConfig config;
   AgmGraphSketch sketch(n, config);
-  stream.replay([&sketch](const EdgeUpdate& u) {
-    sketch.update(u.u, u.v, u.delta);
-  });
+  sketch.absorb(stream.updates());
   const ForestResult forest = agm_spanning_forest(sketch);
   std::fprintf(stderr, "spanning forest: %zu edges in %zu rounds%s\n",
                forest.edges.size(), forest.rounds_used,

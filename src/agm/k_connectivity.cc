@@ -1,5 +1,6 @@
 #include "agm/k_connectivity.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -40,16 +41,6 @@ KConnectivitySketch::KConnectivitySketch(Vertex n, std::size_t k,
   group_ = BankGroup(n, group_config(n, k, config));
 }
 
-void KConnectivitySketch::update(Vertex u, Vertex v, std::int64_t delta) {
-  if (u == v || u >= n_ || v >= n_) {
-    throw std::out_of_range("AGM update endpoints invalid");
-  }
-  const std::uint64_t coord = pair_id(u, v, n_);
-  const Vertex lo = u < v ? u : v;
-  const Vertex hi = u < v ? v : u;
-  group_.update_pair(0, group_.groups(), lo, hi, coord, delta);
-}
-
 void KConnectivitySketch::merge(const KConnectivitySketch& other,
                                 std::int64_t sign) {
   if (other.k_ != k_ || other.n_ != n_) {
@@ -63,16 +54,12 @@ KConnectivityResult KConnectivitySketch::extract() && {
   result.certificate = Graph(n_);
   std::vector<std::uint32_t> identity(n_);
   std::iota(identity.begin(), identity.end(), 0u);
-  std::vector<Edge> removed;  // all forest edges peeled so far
+  std::vector<BankPairUpdate> removed;  // all forest edges peeled so far
   for (std::size_t i = 0; i < k_; ++i) {
     const std::size_t layer_first = i * config_.rounds;
-    // Subtract previously peeled forests from this layer (linearity).
-    for (const auto& e : removed) {
-      const Vertex lo = e.u < e.v ? e.u : e.v;
-      const Vertex hi = e.u < e.v ? e.v : e.u;
-      group_.update_pair(layer_first, config_.rounds, lo, hi,
-                         pair_id(e.u, e.v, n_), -1);
-    }
+    // Subtract previously peeled forests from this layer's rounds in one
+    // batch (linearity).
+    group_.ingest_pairs(removed, layer_first, config_.rounds);
     const ForestResult forest =
         agm_spanning_forest(group_, layer_first, config_.rounds, identity);
     result.complete = result.complete && forest.complete;
@@ -80,7 +67,8 @@ KConnectivityResult KConnectivitySketch::extract() && {
     result.decode_failures += forest.decode_failures;
     for (const auto& e : forest.edges) {
       result.certificate.add_edge(e.u, e.v, e.weight);
-      removed.push_back(e);
+      removed.push_back({std::min(e.u, e.v), std::max(e.u, e.v),
+                         pair_id(e.u, e.v, n_), -1});
     }
     result.forests.push_back(forest.edges);
   }

@@ -39,7 +39,7 @@ struct KConnectivityResult {
 };
 
 // Streaming front-end: k sketch sets updated together in one pass, driven
-// either per-update or as an engine StreamProcessor.
+// as an engine StreamProcessor.
 class KConnectivitySketch final : public StreamProcessor {
  public:
   KConnectivitySketch(Vertex n, std::size_t k, const AgmConfig& config);
@@ -60,9 +60,6 @@ class KConnectivitySketch final : public StreamProcessor {
 
   // Decode-failure accounting (engine/health.h); survives take_result().
   [[nodiscard]] ProcessorHealth health() const override;
-
-  // --- per-update interface ---
-  void update(Vertex u, Vertex v, std::int64_t delta);
 
   // this += sign * other (distributed merge); same (n, k, seed) required.
   void merge(const KConnectivitySketch& other, std::int64_t sign = 1);

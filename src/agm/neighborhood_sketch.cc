@@ -11,8 +11,7 @@ std::vector<std::uint64_t> agm_round_seeds(const AgmConfig& config) {
   seeds.reserve(config.rounds);
   for (std::size_t r = 0; r < config.rounds; ++r) {
     // Same seed for every vertex within a round => summable; different seed
-    // across rounds => independent retries.  (Seed constants unchanged from
-    // the per-round SketchBank era, so cells are bit-identical.)
+    // across rounds => independent retries.
     seeds.push_back(derive_seed(config.seed, 0xa6000 + r));
   }
   return seeds;
@@ -35,26 +34,12 @@ AgmGraphSketch::AgmGraphSketch(Vertex n, const AgmConfig& config)
   if (n < 2) throw std::invalid_argument("AGM sketch needs n >= 2");
 }
 
-void AgmGraphSketch::update(Vertex u, Vertex v, std::int64_t delta) {
-  if (u == v || u >= n_ || v >= n_) {
-    throw std::out_of_range("AGM update endpoints invalid");
-  }
-  const std::uint64_t coord = pair_id(u, v, n_);
-  const Vertex lo = u < v ? u : v;
-  const Vertex hi = u < v ? v : u;
-  group_.update_pair(0, group_.groups(), lo, hi, coord, delta);
-}
-
 void AgmGraphSketch::stage(Vertex n, std::span<const EdgeUpdate> batch,
                            std::vector<BankPairUpdate>& out) {
   // Whole-span validation before the first append keeps the documented
   // all-or-nothing contract: a throw leaves `out` untouched, never holding
   // a partial prefix a caller could accidentally ingest.
-  for (const EdgeUpdate& u : batch) {
-    if (u.u != u.v && (u.u >= n || u.v >= n)) {
-      throw std::out_of_range("AGM update endpoints invalid");
-    }
-  }
+  check_endpoints(batch, n, "AgmGraphSketch");
   out.clear();
   out.reserve(batch.size());
   for (const EdgeUpdate& u : batch) {
@@ -75,11 +60,6 @@ void AgmGraphSketch::ingest_staged(std::span<const BankPairUpdate> staged) {
 void AgmGraphSketch::absorb(std::span<const EdgeUpdate> batch) {
   stage(n_, batch, staging_);
   ingest_staged(staging_);
-}
-
-void AgmGraphSketch::subtract_edge(Vertex u, Vertex v,
-                                   std::int64_t multiplicity) {
-  update(u, v, -multiplicity);
 }
 
 void AgmGraphSketch::merge(const AgmGraphSketch& other, std::int64_t sign) {

@@ -47,39 +47,31 @@ class AgmGraphSketch {
   [[nodiscard]] Vertex n() const noexcept { return n_; }
   [[nodiscard]] std::size_t rounds() const noexcept { return config_.rounds; }
 
-  // Stream-facing: apply a signed edge update.
-  void update(Vertex u, Vertex v, std::int64_t delta);
-
   // Batched ingest of a whole absorb() batch (self-loops skipped): pair ids
   // are computed once per edge and the fused BankGroup takes the batch
   // through one staged sweep covering every round.
   void absorb(std::span<const EdgeUpdate> batch);
 
-  // Staging: canonicalizes a batch (self-loop filter, range checks, pair
+  // Staging: canonicalizes a batch (range checks, self-loop filter, pair
   // ids) into bank pair updates for vertex set size n.  Staging depends
   // only on (n, batch), so callers holding several same-n sketches stage
-  // once and feed each via ingest_staged().  Appends nothing on throw.
+  // once and feed each via ingest_staged().  Any endpoint >= n throws
+  // std::out_of_range (self-loops included) before `out` changes.
   static void stage(Vertex n, std::span<const EdgeUpdate> batch,
                     std::vector<BankPairUpdate>& out);
 
-  // Ingests updates previously produced by stage() with the same n.
+  // Ingests bank pair updates for this n: those stage() produced, or an
+  // explicit signed edge multiset (lo < hi, coord = pair_id(lo, hi, n),
+  // int64 multiplicity).  By linearity a negative multiset subtracts edges
+  // after the stream ends -- E_low in Algorithm 3.
   void ingest_staged(std::span<const BankPairUpdate> staged);
-
-  // Subtract an explicit edge multiset (e.g. E_low in Algorithm 3); uses
-  // linearity, so this may happen after the stream ends.
-  void subtract_edge(Vertex u, Vertex v, std::int64_t multiplicity);
 
   // this += sign * other (distributed merge).
   void merge(const AgmGraphSketch& other, std::int64_t sign = 1);
 
-  // A round's per-vertex bank surface: consumers sum member stripes with
-  // accumulate() and decode via decode_cells() (the forest builder), or
-  // decode a single vertex directly.
-  [[nodiscard]] BankGroup::View round_bank(std::size_t round) const {
-    return group_.view(round);
-  }
-
-  // The fused multi-round storage itself.
+  // The fused multi-round storage, group r = Boruvka round r: consumers
+  // sum member stripes with accumulate() and decode via decode_cells() (the
+  // forest builder), or decode a single vertex directly.
   [[nodiscard]] const BankGroup& bank_group() const noexcept {
     return group_;
   }

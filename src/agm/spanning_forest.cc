@@ -66,7 +66,7 @@ ForestResult agm_spanning_forest(const BankGroup& group,
   std::vector<RootDecode> decoded;
   std::vector<Edge> merges;
   for (std::size_t round = 0; round < rounds; ++round) {
-    const BankGroup::View bank = group.view(group_first + round);
+    const std::size_t g = group_first + round;
     // Group vertices by current component: one counting sort keyed by the
     // component root, flat arrays instead of n vector<Vertex> rebuilds.
     std::fill(member_end.begin(), member_end.end(), 0);
@@ -88,7 +88,7 @@ ForestResult agm_spanning_forest(const BankGroup& group,
       if (begin != member_end[root]) roots.push_back(root);
     }
     // One summed stripe and one decoded outgoing edge per component.  The
-    // round's inputs (bank, counting sort, root_of) are frozen during the
+    // round's inputs (group g, counting sort, root_of) are frozen during the
     // scatter; task i writes decoded[i] only and sums into its own lane's
     // accumulator stripe, so any lane assignment decodes the exact
     // sequential cells -- the fold below walks slots in component order,
@@ -101,9 +101,9 @@ ForestResult agm_spanning_forest(const BankGroup& group,
       const std::span<OneSparseCell> acc{accs.data() + lane * stripe, stripe};
       std::fill(acc.begin(), acc.end(), OneSparseCell{});
       for (std::uint32_t m = begin; m < end; ++m) {
-        bank.accumulate(acc, members[m], 1);
+        group.accumulate(acc, g, members[m], 1);
       }
-      const auto rec = bank.decode_cells(acc);
+      const auto rec = group.decode_cells(g, acc);
       if (!rec.has_value()) {
         // Zero sketch = isolated component (fine); nonzero = decode failure.
         decoded[i].failed = !BankGroup::cells_zero(acc);

@@ -32,12 +32,12 @@ namespace {
   return c;
 }
 
-[[nodiscard]] SketchBankConfig center_config(Vertex n,
-                                             const AdditiveConfig& config) {
-  SketchBankConfig c;
+[[nodiscard]] BankGroupConfig center_config(Vertex n,
+                                            const AdditiveConfig& config) {
+  BankGroupConfig c;
   c.max_coord = n;
   c.instances = 4;
-  c.seed = derive_seed(config.seed, 0xad2);
+  c.seeds = {derive_seed(config.seed, 0xad2)};
   return c;
 }
 
@@ -85,42 +85,20 @@ AdditiveSpannerSketch::AdditiveSpannerSketch(Vertex n,
   degree_.assign(n, DistinctElementsSketch(degree_config(n, config)));
 }
 
-void AdditiveSpannerSketch::apply_common(const EdgeUpdate& update) {
-  const Vertex a = update.u;
-  const Vertex b = update.v;
-  if (a >= n_ || b >= n_) {
-    throw std::out_of_range("additive spanner update endpoints invalid");
-  }
-  neighborhood_[a].update(b, update.delta);
-  neighborhood_[b].update(a, update.delta);
-  degree_[a].update(b, update.delta);
-  degree_[b].update(a, update.delta);
-}
-
-void AdditiveSpannerSketch::apply_local(const EdgeUpdate& update) {
-  apply_common(update);
-  // A^r(u) sketches N(u) cap C (cap Z^r handled inside the bank's levels).
-  if (in_centers_[update.v]) center_bank_.update(update.u, update.v, update.delta);
-  if (in_centers_[update.u]) center_bank_.update(update.v, update.u, update.delta);
-}
-
-void AdditiveSpannerSketch::update(const EdgeUpdate& update) {
-  if (finished_) throw std::logic_error("sketch already finished");
-  if (update.u == update.v) return;
-  apply_local(update);
-  agm_.update(update.u, update.v, update.delta);
-}
-
 void AdditiveSpannerSketch::absorb(std::span<const EdgeUpdate> batch) {
   if (finished_) throw std::logic_error("sketch already finished");
+  check_endpoints(batch, n_, "AdditiveSpannerSketch");
   // Center-sampler updates ride the bank's fused batched path (gathered
   // into a reused buffer); neighborhood/degree stay per-update (different
   // sketch types), and the AGM part takes the batch in one fused call.
   center_staging_.clear();
   for (const EdgeUpdate& u : batch) {
     if (u.u == u.v) continue;
-    apply_common(u);
-    // A^r(u) updates gathered for the bank's fused batched path.
+    neighborhood_[u.u].update(u.v, u.delta);
+    neighborhood_[u.v].update(u.u, u.delta);
+    degree_[u.u].update(u.v, u.delta);
+    degree_[u.v].update(u.u, u.delta);
+    // A^r(u) sketches N(u) cap C (cap Z^r handled inside the bank's levels).
     if (in_centers_[u.v]) center_staging_.push_back({u.u, u.v, u.delta});
     if (in_centers_[u.u]) center_staging_.push_back({u.v, u.u, u.delta});
   }
@@ -205,7 +183,7 @@ void AdditiveSpannerSketch::finish() {
   for (Vertex u = 0; u < n_; ++u) {
     if (low[u]) continue;
     if (in_centers_[u]) continue;  // u is itself a cluster center
-    const auto rec = center_bank_.decode(u);
+    const auto rec = center_bank_.decode(0, u);
     if (!rec.has_value()) {
       ++diag.unattached_high_degree;  // stays a singleton supernode
       continue;
@@ -215,10 +193,15 @@ void AdditiveSpannerSketch::finish() {
     cluster[u] = w;
   }
 
-  // 3. G' = G - E_low via sketch linearity; contract clusters; forest.
+  // 3. G' = G - E_low via sketch linearity (one batch, multiplicities
+  // kept); contract clusters; forest.
+  std::vector<BankPairUpdate> elow_negated;
+  elow_negated.reserve(elow.size());
   for (const auto& [key, mult] : elow) {
-    agm_.subtract_edge(key.first, key.second, mult);
+    elow_negated.push_back({key.first, key.second,
+                            pair_id(key.first, key.second, n_), -mult});
   }
+  agm_.ingest_staged(elow_negated);
   const ForestResult forest = agm_spanning_forest(agm_, cluster);
   diag.forest_rounds = forest.rounds_used;
   diag.forest_complete = forest.complete;

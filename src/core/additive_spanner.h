@@ -27,7 +27,7 @@
 #include "engine/stream_processor.h"
 #include "graph/graph.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/sketch_bank.h"
+#include "sketch/bank_group.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 #include "util/hashing.h"
@@ -72,9 +72,6 @@ class AdditiveSpannerSketch final : public StreamProcessor {
   // Valid once after finish().
   [[nodiscard]] AdditiveResult take_result();
 
-  // Per-update interface.
-  void update(const EdgeUpdate& update);
-
   // Convenience: exactly one pass-counted replay via StreamEngine.
   [[nodiscard]] AdditiveResult run(const DynamicStream& stream);
 
@@ -92,15 +89,8 @@ class AdditiveSpannerSketch final : public StreamProcessor {
   double threshold_;
   std::vector<char> in_centers_;
 
-  // Validation plus the neighborhood/degree contributions shared by the
-  // per-update and batched paths.
-  void apply_common(const EdgeUpdate& update);
-  // apply_common plus the scalar center-sampler updates (everything except
-  // the AGM part; absorb() batches the center updates instead).
-  void apply_local(const EdgeUpdate& update);
-
   std::vector<SparseRecoverySketch> neighborhood_;   // S(u)
-  SketchBank center_bank_;                           // A^r(u), all r nested
+  BankGroup center_bank_;  // A^r(u), all r nested; one group
   std::vector<BankVertexUpdate> center_staging_;     // absorb() gather, reused
   std::vector<DistinctElementsSketch> degree_;       // hat d_u
   AgmGraphSketch agm_;

@@ -173,6 +173,7 @@ void Kp12Sparsifier::absorb(std::span<const EdgeUpdate> batch) {
   if (phase_ == Phase::kDone) {
     throw std::logic_error("Kp12Sparsifier: absorb() after finish()");
   }
+  check_endpoints(batch, n_, "Kp12Sparsifier");
   if (batch.empty()) return;
   ensure_instances();
 
@@ -181,9 +182,6 @@ void Kp12Sparsifier::absorb(std::span<const EdgeUpdate> batch) {
   // self-loops are dropped here because no instance ever ingests them.
   staged_.clear();
   for (const EdgeUpdate& upd : batch) {
-    if (upd.u >= n_ || upd.v >= n_) {
-      throw std::out_of_range("Kp12Sparsifier: endpoint out of range");
-    }
     if (upd.u == upd.v) continue;
     staged_.push_back({pair_id(upd.u, upd.v, n_), upd.u, upd.v, 0, upd.delta});
   }

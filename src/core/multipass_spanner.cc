@@ -14,13 +14,13 @@ namespace {
 
 constexpr Vertex kUnclustered = kInvalidVertex;
 
-[[nodiscard]] SketchBankConfig sampler_config(Vertex n,
-                                              const MultipassConfig& config,
-                                              unsigned phase) {
-  SketchBankConfig c;
+[[nodiscard]] BankGroupConfig sampler_config(Vertex n,
+                                             const MultipassConfig& config,
+                                             unsigned phase) {
+  BankGroupConfig c;
   c.max_coord = num_pairs(n);
   c.instances = config.sampler_instances;
-  c.seed = derive_seed(config.seed, 0xbb00 + phase);
+  c.seeds = {derive_seed(config.seed, 0xbb00 + phase)};
   return c;
 }
 
@@ -66,7 +66,7 @@ MultipassSpanner::MultipassSpanner(const MultipassSpanner& other,
 }
 
 void MultipassSpanner::make_phase_sketches() {
-  to_sampled_ = SketchBank(n_, sampler_config(n_, config_, phase_));
+  to_sampled_ = BankGroup(n_, sampler_config(n_, config_, phase_));
   // Every vertex's table is a one-level bank on ONE phase geometry (all
   // vertices use the phase seed): copies of the prototype share it.  The
   // geometry stays unstaged -- the payload space is num_pairs(n).
@@ -92,6 +92,7 @@ void MultipassSpanner::absorb(std::span<const EdgeUpdate> batch) {
   if (finished_) {
     throw std::logic_error("MultipassSpanner: absorb() after finish()");
   }
+  check_endpoints(batch, n_, "MultipassSpanner");
   const bool final_phase = phase_ == config_.k;
   // Re-homing sampler updates are gathered into a reused staging buffer and
   // fed through the bank's fused batched path (one hash sweep per instance,
@@ -136,7 +137,7 @@ void MultipassSpanner::rehome() {
     if (!final_phase && survives_[cv] != 0) continue;  // cluster survives
     // Try to join a sampled neighboring cluster through one edge.
     if (!final_phase) {
-      const auto rec = to_sampled_.decode(v);
+      const auto rec = to_sampled_.decode(0, v);
       if (rec.has_value()) {
         add_pair(rec->coord);
         const auto [a, b] = pair_from_id(rec->coord, n_);

@@ -34,8 +34,8 @@
 #include "core/config.h"
 #include "engine/stream_processor.h"
 #include "graph/graph.h"
+#include "sketch/bank_group.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "stream/dynamic_stream.h"
 
 namespace kw {
@@ -100,7 +100,7 @@ class MultipassSpanner final : public StreamProcessor {
   // cluster_of_[v]: center of v's cluster; kInvalidVertex once v settled.
   std::vector<Vertex> cluster_of_;
   std::vector<char> survives_;  // this phase's surviving centers
-  SketchBank to_sampled_;       // per-vertex L0 over edges into survivors
+  BankGroup to_sampled_;  // one group: per-vertex L0 over edges into survivors
   std::vector<BankVertexUpdate> sampler_staging_;  // absorb() gather, reused
   std::vector<KvTableBank> per_cluster_;  // one-level bank per vertex
   std::size_t nominal_bytes_ = 0;

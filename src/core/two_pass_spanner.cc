@@ -226,11 +226,9 @@ void TwoPassSpanner::absorb(std::span<const EdgeUpdate> batch) {
   // Stage once: pair ids, self-loop filtering, coordinate dedup -- the same
   // shape the KP12 sparsifier hands to pass*_ingest, built internally so
   // engine-driven single-instance runs ride the fused path too.
+  check_endpoints(batch, n_, "TwoPassSpanner");
   staged_entries_.clear();
   for (const EdgeUpdate& u : batch) {
-    if (u.u >= n_ || u.v >= n_) {
-      throw std::out_of_range("TwoPassSpanner: endpoint out of range");
-    }
     if (u.u == u.v) continue;
     staged_entries_.push_back(
         {pair_id(u.u, u.v, n_), u.u, u.v, 0, u.delta});

@@ -14,6 +14,7 @@ void MaterializeProcessor::absorb(std::span<const EdgeUpdate> batch) {
   if (finished_) {
     throw std::logic_error("MaterializeProcessor: absorb() after finish()");
   }
+  check_endpoints(batch, n_, "MaterializeProcessor");
   for (const EdgeUpdate& u : batch) {
     if (u.u == u.v) continue;
     const auto key = std::minmax(u.u, u.v);
@@ -141,6 +142,9 @@ DemuxProcessor::DemuxProcessor(
 }
 
 void DemuxProcessor::absorb(std::span<const EdgeUpdate> batch) {
+  // Checked here, not only in the lanes: a bad update routed to a later
+  // lane must not leave the earlier lanes holding their share.
+  check_endpoints(batch, n(), "DemuxProcessor");
   if (lanes_.size() == 1) {
     // Single-lane demux (e.g. a weighted run whose weights all land in one
     // class): when no update is dropped (selector index >= lane count drops,

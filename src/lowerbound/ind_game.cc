@@ -76,14 +76,13 @@ IndGameOutcome play_ind_game_additive(const IndGameSetup& setup,
     AdditiveConfig cc = config;
     cc.seed = derive_seed(setup.seed, 0x9a0 + trial);
     AdditiveSpannerSketch sketch(inst.n, cc);
-    // Alice's single pass...
-    for (const auto& e : inst.alice_edges) {
-      sketch.update({e.u, e.v, +1, 1.0});
-    }
-    // ...Bob continues the same pass with his path edges...
-    for (const auto& e : inst.bob_edges) {
-      sketch.update({e.u, e.v, +1, 1.0});
-    }
+    // Alice's single pass, then Bob continues the same pass with his path
+    // edges...
+    std::vector<EdgeUpdate> alice, bob;
+    for (const auto& e : inst.alice_edges) alice.push_back({e.u, e.v});
+    for (const auto& e : inst.bob_edges) bob.push_back({e.u, e.v});
+    sketch.absorb(alice);
+    sketch.absorb(bob);
     // ...and reads the spanner off the algorithm's state.
     sketch.finish();
     AdditiveResult result = sketch.take_result();

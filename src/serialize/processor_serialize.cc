@@ -172,6 +172,13 @@ void AdditiveSpannerSketch::serialize(ser::Writer& w) const {
   w.u64(config_.agm_instances);
   w.end_section();
   for (const SparseRecoverySketch& s : neighborhood_) s.serialize(w);
+  // The center bank's config header, written ahead of the bank for wire
+  // compatibility with checkpoints from when it was a standalone class.
+  w.begin_section("additive.center_header");
+  w.u64(center_bank_.max_coord());
+  w.u64(center_bank_.instances());
+  w.u64(center_bank_.seeds()[0]);
+  w.end_section();
   center_bank_.serialize(w);
   for (const DistinctElementsSketch& s : degree_) s.serialize(w);
   agm_.serialize(w);
@@ -197,6 +204,12 @@ void AdditiveSpannerSketch::deserialize(ser::Reader& r) {
   finished_ = false;
   result_.reset();
   for (SparseRecoverySketch& s : neighborhood_) s.deserialize(r);
+  ser::check_field(r.u64(), center_bank_.max_coord(),
+                   "AdditiveSpanner center max_coord");
+  ser::check_field(r.u64(), center_bank_.instances(),
+                   "AdditiveSpanner center instances");
+  ser::check_field(r.u64(), center_bank_.seeds()[0],
+                   "AdditiveSpanner center seed");
   center_bank_.deserialize(r);
   for (DistinctElementsSketch& s : degree_) s.deserialize(r);
   agm_.deserialize(r);

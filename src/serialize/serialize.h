@@ -41,7 +41,6 @@ namespace kw {
 class StreamProcessor;
 class Graph;
 class BankGroup;
-class SketchBank;
 class SparseRecoverySketch;
 class DistinctElementsSketch;
 class AgmGraphSketch;
@@ -81,7 +80,6 @@ constexpr std::uint32_t kFormatVersion = 2;
 // format version, not a new tag -- unless the old layout is rejected by a
 // field check anyway, as for MPSP above.
 constexpr std::uint32_t kTagBankGroup = fourcc('B', 'K', 'G', 'R');
-constexpr std::uint32_t kTagSketchBank = fourcc('S', 'K', 'B', 'K');
 constexpr std::uint32_t kTagSparseRecovery = fourcc('S', 'P', 'R', 'S');
 constexpr std::uint32_t kTagDistinctElements = fourcc('D', 'S', 'T', 'E');
 constexpr std::uint32_t kTagAgmSketch = fourcc('A', 'G', 'M', 'S');
@@ -106,7 +104,6 @@ concept Serializable = requires { SerialTag<T>::value; };
 
 // clang-format off
 template <> struct SerialTag<BankGroup> { static constexpr std::uint32_t value = kTagBankGroup; };
-template <> struct SerialTag<SketchBank> { static constexpr std::uint32_t value = kTagSketchBank; };
 template <> struct SerialTag<SparseRecoverySketch> { static constexpr std::uint32_t value = kTagSparseRecovery; };
 template <> struct SerialTag<DistinctElementsSketch> { static constexpr std::uint32_t value = kTagDistinctElements; };
 template <> struct SerialTag<AgmGraphSketch> { static constexpr std::uint32_t value = kTagAgmSketch; };

@@ -1,6 +1,6 @@
 // serialize()/deserialize() members of the sketch layer: BankGroup,
-// SketchBank, SparseRecoverySketch, DistinctElementsSketch, KvTableBank
-// (state only), AgmGraphSketch.
+// SparseRecoverySketch, DistinctElementsSketch, KvTableBank (state only),
+// AgmGraphSketch.
 //
 // Each payload starts with the object's configuration/geometry, which
 // deserialize() VALIDATES against the live (identically constructed)
@@ -15,7 +15,6 @@
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 
 namespace kw {
@@ -46,24 +45,6 @@ void BankGroup::deserialize(ser::Reader& r) {
     ser::check_field(r.u64(), s, "BankGroup seed");
   }
   ser::read_cells(r, {cells_.data(), cells_.size()});
-}
-
-// ---- SketchBank ---------------------------------------------------------
-
-void SketchBank::serialize(ser::Writer& w) const {
-  w.begin_section("sketch_bank.header");
-  w.u64(config_.max_coord);
-  w.u64(config_.instances);
-  w.u64(config_.seed);
-  w.end_section();
-  group_.serialize(w);
-}
-
-void SketchBank::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_coord, "SketchBank max_coord");
-  ser::check_field(r.u64(), config_.instances, "SketchBank instances");
-  ser::check_field(r.u64(), config_.seed, "SketchBank seed");
-  group_.deserialize(r);
 }
 
 // ---- SparseRecoverySketch -----------------------------------------------

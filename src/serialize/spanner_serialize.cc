@@ -390,6 +390,13 @@ void MultipassSpanner::serialize(ser::Writer& w) const {
   w.u64(unrecovered_);
   w.u64(passes_done_);
   w.end_section();
+  // The sampler bank's config header, written ahead of the bank for wire
+  // compatibility with checkpoints from when it was a standalone class.
+  w.begin_section("multipass.sampler_header");
+  w.u64(to_sampled_.max_coord());
+  w.u64(to_sampled_.instances());
+  w.u64(to_sampled_.seeds()[0]);
+  w.end_section();
   to_sampled_.serialize(w);
   for (const KvTableBank& table : per_cluster_) {
     table.serialize_state(w);
@@ -428,6 +435,12 @@ void MultipassSpanner::deserialize(ser::Reader& r) {
   nominal_bytes_ = static_cast<std::size_t>(r.u64());
   unrecovered_ = static_cast<std::size_t>(r.u64());
   passes_done_ = static_cast<std::size_t>(r.u64());
+  ser::check_field(r.u64(), to_sampled_.max_coord(),
+                   "MultipassSpanner sampler max_coord");
+  ser::check_field(r.u64(), to_sampled_.instances(),
+                   "MultipassSpanner sampler instances");
+  ser::check_field(r.u64(), to_sampled_.seeds()[0],
+                   "MultipassSpanner sampler seed");
   to_sampled_.deserialize(r);
   for (KvTableBank& table : per_cluster_) {
     table.deserialize_state(r);

@@ -32,9 +32,8 @@ BankGroup::BankGroup(std::size_t vertices, const BankGroupConfig& config)
   bases_.reserve(groups_);
   hashes_.reserve(groups_ * instances_);
   for (std::size_t g = 0; g < groups_; ++g) {
-    // Same derivation chain as a standalone SketchBank with seed seeds_[g]
-    // (basis at 0x10b, HashFamily at 0x10a with per-instance 0x9000 + i):
-    // group g's cells are bit-identical to that bank's.
+    // Per-group derivation chain (basis at 0x10b, HashFamily at 0x10a with
+    // per-instance 0x9000 + i): group g's cells depend only on seeds_[g].
     bases_.emplace_back(derive_seed(seeds_[g], 0x10b));
     const std::uint64_t family_seed = derive_seed(seeds_[g], 0x10a);
     for (std::size_t i = 0; i < instances_; ++i) {
@@ -45,61 +44,6 @@ BankGroup::BankGroup(std::size_t vertices, const BankGroupConfig& config)
   cells_.resize(vertices * cells_per_vertex());
 }
 
-void BankGroup::update(std::size_t group, std::size_t vertex,
-                       std::uint64_t coord, std::int64_t delta) {
-  if (group >= groups_) {
-    throw std::out_of_range("bank group index out of range");
-  }
-  if (vertex >= vertices_) {
-    throw std::out_of_range("sketch bank vertex out of range");
-  }
-  if (coord >= max_coord_) {
-    throw std::out_of_range("sketch bank coordinate out of range");
-  }
-  if (delta == 0) return;
-  const FingerprintBasis& basis = bases_[group];
-  const std::uint64_t t1 = basis.term1(coord, delta);
-  const std::uint64_t t2 = basis.term2(coord, delta);
-  const std::uint64_t wsum = static_cast<std::uint64_t>(delta) * coord;
-  OneSparseCell* stripe = stripe_ptr(group, vertex);
-  for (std::size_t inst = 0; inst < instances_; ++inst) {
-    const std::uint64_t h = hashes_[group * instances_ + inst](coord);
-    add_run(stripe + inst * levels_, clamp_level(h), delta, wsum, t1, t2);
-  }
-}
-
-void BankGroup::update_pair(std::size_t group_first, std::size_t group_count,
-                            std::size_t lo, std::size_t hi,
-                            std::uint64_t coord, std::int64_t delta) {
-  if (group_first + group_count > groups_) {
-    throw std::out_of_range("bank group range out of range");
-  }
-  if (lo >= vertices_ || hi >= vertices_ || lo == hi) {
-    throw std::out_of_range("sketch bank pair endpoints invalid");
-  }
-  if (coord >= max_coord_) {
-    throw std::out_of_range("sketch bank coordinate out of range");
-  }
-  if (delta == 0) return;
-  const std::uint64_t wsum = static_cast<std::uint64_t>(delta) * coord;
-  const std::uint64_t nwsum = static_cast<std::uint64_t>(-delta) * coord;
-  for (std::size_t g = group_first; g < group_first + group_count; ++g) {
-    const FingerprintBasis& basis = bases_[g];
-    const std::uint64_t t1 = basis.term1(coord, delta);
-    const std::uint64_t t2 = basis.term2(coord, delta);
-    const std::uint64_t nt1 = field_neg(t1);
-    const std::uint64_t nt2 = field_neg(t2);
-    OneSparseCell* lo_stripe = stripe_ptr(g, lo);
-    OneSparseCell* hi_stripe = stripe_ptr(g, hi);
-    for (std::size_t inst = 0; inst < instances_; ++inst) {
-      const std::uint64_t h = hashes_[g * instances_ + inst](coord);
-      const std::size_t deepest = clamp_level(h);
-      add_run(lo_stripe + inst * levels_, deepest, delta, wsum, t1, t2);
-      add_run(hi_stripe + inst * levels_, deepest, -delta, nwsum, nt1, nt2);
-    }
-  }
-}
-
 namespace {
 // Chunk bound keeping staged indices inside 32 bits with plenty of slack;
 // engine batches are tens of thousands of updates, raw callers may pass
@@ -108,6 +52,15 @@ constexpr std::size_t kIngestChunk = std::size_t{1} << 20;
 }  // namespace
 
 void BankGroup::ingest_pairs(std::span<const BankPairUpdate> batch) {
+  ingest_pairs(batch, 0, groups_);
+}
+
+void BankGroup::ingest_pairs(std::span<const BankPairUpdate> batch,
+                             std::size_t group_first,
+                             std::size_t group_count) {
+  if (group_first > groups_ || group_count > groups_ - group_first) {
+    throw std::out_of_range("bank group range out of range");
+  }
   // Validate the WHOLE span before any cell is touched, so a bad entry in a
   // later chunk cannot leave the bank partially updated (the all-or-nothing
   // contract batched callers rely on).
@@ -137,7 +90,7 @@ void BankGroup::ingest_pairs(std::span<const BankPairUpdate> batch) {
       weights_.push_back(
           {static_cast<std::uint64_t>(u.delta) * u.coord, u.delta});
     }
-    ingest_staged(/*pairs=*/true);
+    ingest_staged(/*pairs=*/true, group_first, group_first + group_count);
   }
 }
 
@@ -166,7 +119,7 @@ void BankGroup::ingest_updates(std::span<const BankVertexUpdate> batch) {
       weights_.push_back(
           {static_cast<std::uint64_t>(u.delta) * u.coord, u.delta});
     }
-    ingest_staged(/*pairs=*/false);
+    ingest_staged(/*pairs=*/false, 0, groups_);
   }
 }
 
@@ -302,7 +255,8 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
 
 }  // namespace
 
-void BankGroup::ingest_staged(bool pairs) {
+void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
+                              std::size_t group_end) {
   if (staged_.empty()) return;
 
   // Aggregate duplicate (endpoints, coordinate) updates and drop net-zero
@@ -367,22 +321,12 @@ void BankGroup::ingest_staged(bool pairs) {
   const std::size_t count = staged_.size();
   if (count == 0) return;
 
-  // Fallbacks: very sparse batches (the counting sort's O(vertices) pass
-  // would dominate) and instance counts beyond the packed record's level
-  // slots take the exact scalar path instead.
+  // Very sparse batches (the counting sort's O(vertices) pass would
+  // dominate) and instance counts beyond the packed record's level slots
+  // write each update's level runs directly instead.
   const std::size_t postings = count * (pairs ? 2 : 1);
   if (instances_ > 8 || postings * 2 < vertices_) {
-    for (std::size_t idx = 0; idx < count; ++idx) {
-      const StagedUpdate& s = staged_[idx];
-      const std::int64_t delta = weights_[idx].delta;
-      if (pairs) {
-        update_pair(0, groups_, s.lo, s.hi, s.coord, delta);
-      } else {
-        for (std::size_t g = 0; g < groups_; ++g) {
-          update(g, s.lo, s.coord, delta);
-        }
-      }
-    }
+    scatter_each(pairs, group_first, group_end);
     return;
   }
 
@@ -470,7 +414,7 @@ void BankGroup::ingest_staged(bool pairs) {
           ? term_bytes_
           : FingerprintBasis::kPowBytes + 1;  // forces pow_pair fallback
 
-  for (std::size_t g = 0; g < groups_; ++g) {
+  for (std::size_t g = group_first; g < group_end; ++g) {
     slot_pows_kernel(bases_[g], ucoords_.data(), uniques, term_digits,
                      slot_pows_.data());
     // One fused sweep per group: all of its instance polynomials advance
@@ -502,6 +446,30 @@ void BankGroup::ingest_staged(bool pairs) {
       default:
         scatter_kernel<0>(args);
         break;
+    }
+  }
+}
+
+void BankGroup::scatter_each(bool pairs, std::size_t group_first,
+                             std::size_t group_end) {
+  for (std::size_t idx = 0; idx < staged_.size(); ++idx) {
+    const StagedUpdate& s = staged_[idx];
+    const std::int64_t delta = weights_[idx].delta;
+    const std::uint64_t wsum = weights_[idx].wsum;
+    for (std::size_t g = group_first; g < group_end; ++g) {
+      const std::uint64_t t1 = bases_[g].term1(s.coord, delta);
+      const std::uint64_t t2 = bases_[g].term2(s.coord, delta);
+      OneSparseCell* lo_stripe = stripe_ptr(g, s.lo);
+      OneSparseCell* hi_stripe = stripe_ptr(g, s.hi);
+      for (std::size_t inst = 0; inst < instances_; ++inst) {
+        const std::size_t deepest =
+            clamp_level(hashes_[g * instances_ + inst](s.coord));
+        add_run(lo_stripe + inst * levels_, deepest, delta, wsum, t1, t2);
+        if (pairs) {
+          add_run(hi_stripe + inst * levels_, deepest, -delta, 0 - wsum,
+                  field_neg(t1), field_neg(t2));
+        }
+      }
     }
   }
 }

@@ -1,12 +1,20 @@
-/// Fused multi-round bank: every Boruvka round's (and, for k-connectivity,
-/// every layer's) per-vertex L0 cells in ONE contiguous vertex-major
-/// super-allocation, ingested by one staged sweep per batch.
+/// Per-vertex L0 sketch banks ([JST11]/[AGM12a]-style L0 sampling), every
+/// Boruvka round's (and, for k-connectivity, every layer's) cells in ONE
+/// contiguous vertex-major allocation, ingested by one staged sweep per
+/// batch.  This is the library's only L0 bank; a one-group BankGroup is a
+/// single bank and a one-vertex bank is the single-vector sampler.
 ///
-/// Semantically a BankGroup with G groups is G independent SketchBanks that
-/// share (vertices, max_coord, instances) and differ only in their seed --
-/// exactly the shape of AgmGraphSketch (one bank per round) and
-/// KConnectivitySketch (k layers x rounds banks).  Physically ALL cells live
-/// in one allocation, vertex-major:
+/// Group g is n independent L0 samplers (one per vertex) sharing seed g,
+/// hence one hash family and fingerprint basis -- the sharing that makes
+/// per-vertex sketches summable across vertices, which Boruvka-over-sketches
+/// requires.  Each sampler keeps, per independent instance, one one-sparse
+/// detector per level over the coordinates surviving rate-2^-j subsampling
+/// (nested, driven by one k-wise hash); when a vector has L0 nonzeros, the
+/// level near log2(L0) is one-sparse with constant probability and returns
+/// its (coordinate, value) exactly.  Groups share (vertices, max_coord,
+/// instances) and differ only in their seed -- exactly the shape of
+/// AgmGraphSketch (one group per round) and KConnectivitySketch (k layers x
+/// rounds groups).  Physically ALL cells live in one allocation:
 ///
 ///   cells_[(((vertex * G) + group) * instances + instance) * levels + level]
 ///
@@ -16,7 +24,7 @@
 /// contiguous coefficient matrix (KWiseHash keeps its coefficients inline,
 /// so a flat vector of them IS the matrix).
 ///
-/// Why fuse instead of one SketchBank per round (the PR3 layout):
+/// Why fuse instead of one bank per round:
 ///  * ingest_pairs(batch) stages each update ONCE -- endpoint validation,
 ///    the field image of delta, the weighted coordinate sums -- instead of
 ///    re-paying that staging loop per round, then drives one eval_many
@@ -32,10 +40,11 @@
 ///    the StreamEngine's sharded clone/fold path pays one virtual call per
 ///    shard instead of one per round.
 ///
-/// Randomness: group g with seed s derives exactly the constants a
-/// SketchBank(vertices, {max_coord, instances, s}) would (basis seed
-/// derive_seed(s, 0x10b), hash-family seed derive_seed(s, 0x10a)), so cells
-/// are bit-identical to the per-round banks they replace -- golden-pinned in
+/// Randomness: group g with seed s derives its basis from derive_seed(s,
+/// 0x10b) and its hash family from derive_seed(s, 0x10a), so a group's
+/// cells do not depend on which other groups share the allocation.  Every
+/// ingest path writes cells bit-identical to the scalar per-level sampler
+/// algorithm (tests/reference/bank_scalar_reference.h), pinned in
 /// tests/test_sketch_bank.cc.
 #ifndef KW_SKETCH_BANK_GROUP_H
 #define KW_SKETCH_BANK_GROUP_H
@@ -101,25 +110,20 @@ class BankGroup {
 
   // ---- ingest ---------------------------------------------------------
 
-  // Applies (coord, delta) to `vertex`'s sketch in one group.
-  void update(std::size_t group, std::size_t vertex, std::uint64_t coord,
-              std::int64_t delta);
-
-  // AGM incidence update into groups [group_first, group_first+group_count):
-  // (coord, +delta) to lo, (coord, -delta) to hi.  lo and hi must differ.
-  void update_pair(std::size_t group_first, std::size_t group_count,
-                   std::size_t lo, std::size_t hi, std::uint64_t coord,
-                   std::int64_t delta);
-
-  // Fused batched pair ingest into EVERY group: per update the pair terms
-  // that depend only on (coord, delta) are staged once, each of the
-  // groups*instances hashes takes one eval_many sweep over the staged
-  // coordinates, and the scatter is grouped by endpoint vertex.  Uses
-  // internal scratch buffers -- not safe for concurrent calls on one group
-  // (each engine shard ingests into its own clone).  Zero-delta entries are
-  // skipped.  Duplicate updates whose summed delta overflows int64 throw
-  // std::overflow_error.
+  // Fused batched pair ingest into groups [group_first, group_first +
+  // group_count), or every group in the one-argument form: per update the
+  // pair terms that depend only on (coord, delta) are staged once, each
+  // group's instance hashes take one eval_many sweep over the staged
+  // coordinates, and the scatter is grouped by endpoint vertex.  Each update
+  // adds (coord, +delta) to lo's sketch and (coord, -delta) to hi's; lo and
+  // hi must differ.  The whole span is validated before any cell changes.
+  // Uses internal scratch buffers -- not safe for concurrent calls on one
+  // group (each engine shard ingests into its own clone).  Zero-delta
+  // entries are skipped.  Duplicate updates whose summed delta overflows
+  // int64 throw std::overflow_error.
   void ingest_pairs(std::span<const BankPairUpdate> batch);
+  void ingest_pairs(std::span<const BankPairUpdate> batch,
+                    std::size_t group_first, std::size_t group_count);
 
   // Fused batched single-vertex ingest into EVERY group; same staging, hash
   // sweep and vertex-grouped scatter as ingest_pairs.
@@ -182,41 +186,6 @@ class BankGroup {
     return hashes_[group * instances_ + instance];
   }
 
-  // A borrowed single-group read surface shaped like the old per-round
-  // SketchBank (what agm_spanning_forest and the AGM tests consume).
-  class View {
-   public:
-    View(const BankGroup& group, std::size_t g) : group_(&group), g_(g) {}
-
-    [[nodiscard]] std::size_t cells_per_vertex() const noexcept {
-      return group_->cells_per_stripe();
-    }
-    [[nodiscard]] std::span<const OneSparseCell> stripe(
-        std::size_t vertex) const {
-      return group_->stripe(g_, vertex);
-    }
-    void accumulate(std::span<OneSparseCell> acc, std::size_t vertex,
-                    std::int64_t sign = 1) const {
-      group_->accumulate(acc, g_, vertex, sign);
-    }
-    [[nodiscard]] std::optional<Recovered> decode_cells(
-        std::span<const OneSparseCell> cells) const {
-      return group_->decode_cells(g_, cells);
-    }
-    [[nodiscard]] std::optional<Recovered> decode(std::size_t vertex) const {
-      return group_->decode(g_, vertex);
-    }
-    [[nodiscard]] bool vertex_is_zero(std::size_t vertex) const noexcept {
-      return group_->vertex_is_zero(g_, vertex);
-    }
-
-   private:
-    const BankGroup* group_;
-    std::size_t g_;
-  };
-
-  [[nodiscard]] View view(std::size_t group) const { return View(*this, group); }
-
   // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
   // Writes geometry + seeds (validated on load) and one sparse cell
   // section; hashes/bases are rebuilt from seeds by the constructor, so
@@ -253,9 +222,14 @@ class BankGroup {
   }
 
   // Shared machinery behind ingest_pairs / ingest_updates, consuming the
-  // staged_ scratch.  `pairs` selects signed two-endpoint scatter (lo +,
-  // hi -) over single-vertex scatter.
-  void ingest_staged(bool pairs);
+  // staged_ scratch into groups [group_first, group_end).  `pairs` selects
+  // signed two-endpoint scatter (lo +, hi -) over single-vertex scatter.
+  void ingest_staged(bool pairs, std::size_t group_first,
+                     std::size_t group_end);
+  // ingest_staged's kernel for batches the vertex-grouped scatter does not
+  // pay for: each aggregated update's level runs are written directly.
+  void scatter_each(bool pairs, std::size_t group_first,
+                    std::size_t group_end);
 
   std::uint64_t max_coord_ = 1;
   std::size_t instances_ = 0;

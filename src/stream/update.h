@@ -9,6 +9,9 @@
 #define KW_STREAM_UPDATE_H
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 #include "graph/graph.h"
 
@@ -24,6 +27,19 @@ struct EdgeUpdate {
     return u == o.u && v == o.v && delta == o.delta && weight == o.weight;
   }
 };
+
+// Throws std::out_of_range naming `who` if any update in `batch` has an
+// endpoint >= n, self-loops included.  Every processor's absorb() runs it
+// before changing any state, so a rejected batch leaves the processor as it
+// was.
+inline void check_endpoints(std::span<const EdgeUpdate> batch, Vertex n,
+                            const char* who) {
+  for (const EdgeUpdate& u : batch) {
+    if (u.u >= n || u.v >= n) {
+      throw std::out_of_range(std::string(who) + ": endpoint out of range");
+    }
+  }
+}
 
 }  // namespace kw
 

@@ -145,10 +145,11 @@ TEST(Additive, CenterFlagAccessible) {
 
 TEST(Additive, FinishTwiceThrows) {
   AdditiveSpannerSketch sketch(16, make_config(2, 83));
-  sketch.update({0, 1, 1, 1.0});
+  const EdgeUpdate edge{0, 1, 1, 1.0};
+  sketch.absorb({&edge, 1});
   (void)sketch.finish();
   EXPECT_THROW((void)sketch.finish(), std::logic_error);
-  EXPECT_THROW(sketch.update({0, 1, 1, 1.0}), std::logic_error);
+  EXPECT_THROW(sketch.absorb({&edge, 1}), std::logic_error);
 }
 
 // ---- goldens ---------------------------------------------------------------

@@ -26,7 +26,9 @@ namespace {
 [[nodiscard]] AgmGraphSketch sketch_graph(const Graph& g,
                                           std::uint64_t seed) {
   AgmGraphSketch sketch(g.n(), make_config(seed));
-  for (const auto& e : g.edges()) sketch.update(e.u, e.v, 1);
+  std::vector<EdgeUpdate> batch;
+  for (const auto& e : g.edges()) batch.push_back({e.u, e.v});
+  sketch.absorb(batch);
   return sketch;
 }
 
@@ -39,10 +41,10 @@ TEST(AgmSketch, SummedMemberSketchesCancelInternalEdges) {
   g.add_edge(0, 2);
   g.add_edge(2, 3);
   const AgmGraphSketch sketch = sketch_graph(g, 1);
-  const BankGroup::View bank = sketch.round_bank(0);
-  std::vector<OneSparseCell> acc(bank.cells_per_vertex());
-  for (const Vertex v : {0u, 1u, 2u}) bank.accumulate(acc, v, 1);
-  const auto rec = bank.decode_cells(acc);
+  const BankGroup& bank = sketch.bank_group();
+  std::vector<OneSparseCell> acc(bank.cells_per_stripe());
+  for (const Vertex v : {0u, 1u, 2u}) bank.accumulate(acc, 0, v, 1);
+  const auto rec = bank.decode_cells(0, acc);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->coord, pair_id(2, 3, 5));
 }
@@ -50,10 +52,10 @@ TEST(AgmSketch, SummedMemberSketchesCancelInternalEdges) {
 TEST(AgmSketch, WholeGraphSumIsZero) {
   const Graph g = erdos_renyi_gnm(40, 120, 3);
   const AgmGraphSketch sketch = sketch_graph(g, 2);
+  const BankGroup& bank = sketch.bank_group();
   for (std::size_t round = 0; round < 3; ++round) {
-    const BankGroup::View bank = sketch.round_bank(round);
-    std::vector<OneSparseCell> acc(bank.cells_per_vertex());
-    for (Vertex v = 0; v < g.n(); ++v) bank.accumulate(acc, v, 1);
+    std::vector<OneSparseCell> acc(bank.cells_per_stripe());
+    for (Vertex v = 0; v < g.n(); ++v) bank.accumulate(acc, round, v, 1);
     EXPECT_TRUE(BankGroup::cells_zero(acc)) << "interior edges must cancel";
   }
 }
@@ -89,16 +91,17 @@ TEST(SpanningForest, DeletionsChangeConnectivity) {
   // Build a cycle, then delete one edge through the sketch: still connected.
   // Delete a second edge: two components.
   const Graph g = cycle_graph(20);
-  AgmGraphSketch sketch(20, make_config(5));
-  for (const auto& e : g.edges()) sketch.update(e.u, e.v, 1);
-  sketch.update(0, 1, -1);
+  AgmGraphSketch sketch = sketch_graph(g, 5);
+  const EdgeUpdate first{0, 1, -1};
+  sketch.absorb({&first, 1});
   {
     AgmGraphSketch copy = sketch;
     const ForestResult forest = agm_spanning_forest(copy);
     EXPECT_TRUE(forest.complete);
     EXPECT_EQ(forest.edges.size(), 19u);
   }
-  sketch.update(10, 11, -1);
+  const EdgeUpdate second{10, 11, -1};
+  sketch.absorb({&second, 1});
   const ForestResult forest = agm_spanning_forest(sketch);
   EXPECT_TRUE(forest.complete);
   EXPECT_EQ(forest.edges.size(), 18u);
@@ -133,9 +136,9 @@ TEST(SpanningForest, SubtractEdgesViaLinearity) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 3);
-  AgmGraphSketch sketch(4, make_config(7));
-  for (const auto& e : g.edges()) sketch.update(e.u, e.v, 1);
-  sketch.subtract_edge(1, 2, 1);
+  AgmGraphSketch sketch = sketch_graph(g, 7);
+  const BankPairUpdate minus{1, 2, pair_id(1, 2, 4), -1};
+  sketch.ingest_staged({&minus, 1});
   const ForestResult forest = agm_spanning_forest(sketch);
   EXPECT_TRUE(forest.complete);
   EXPECT_EQ(forest.edges.size(), 2u);
@@ -149,8 +152,8 @@ TEST(SpanningForest, MergeOfDistributedSketches) {
   const auto parts = stream.split(2);
   AgmGraphSketch s0(50, make_config(10));
   AgmGraphSketch s1(50, make_config(10));  // same seed: mergeable
-  parts[0].replay([&s0](const EdgeUpdate& u) { s0.update(u.u, u.v, u.delta); });
-  parts[1].replay([&s1](const EdgeUpdate& u) { s1.update(u.u, u.v, u.delta); });
+  s0.absorb(parts[0].updates());
+  s1.absorb(parts[1].updates());
   s0.merge(s1, 1);
   const ForestResult forest = agm_spanning_forest(s0);
   EXPECT_TRUE(forest.complete);
@@ -161,8 +164,7 @@ TEST(AgmSketch, MultiplicityAndChurn) {
   const Graph g = erdos_renyi_gnm(40, 100, 11);
   const DynamicStream stream = DynamicStream::with_churn(g, 120, 12);
   AgmGraphSketch sketch(40, make_config(13));
-  stream.replay(
-      [&sketch](const EdgeUpdate& u) { sketch.update(u.u, u.v, u.delta); });
+  sketch.absorb(stream.updates());
   const ForestResult forest = agm_spanning_forest(sketch);
   EXPECT_TRUE(forest.complete);
   for (const auto& e : forest.edges) {

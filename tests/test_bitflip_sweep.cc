@@ -24,7 +24,6 @@
 #include "serialize/serialize.h"
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 
@@ -107,13 +106,18 @@ TEST(BitflipSweep, DistinctElements) {
 }
 
 TEST(BitflipSweep, SketchBank) {
-  SketchBankConfig config;
+  // A standalone one-group bank (the single per-vertex bank).
+  BankGroupConfig config;
   config.max_coord = 1 << 12;
   config.instances = 3;
-  config.seed = 24;
-  SketchBank a(64, config);
-  for (std::size_t v = 0; v < 64; ++v) a.update(v, (v * 7) % 4096, 1);
-  SketchBank b(64, config);
+  config.seeds = {24};
+  BankGroup a(64, config);
+  std::vector<BankVertexUpdate> updates;
+  for (std::uint32_t v = 0; v < 64; ++v) {
+    updates.push_back({v, v * 7 % 4096, 1});
+  }
+  a.ingest_updates(updates);
+  BankGroup b(64, config);
   sweep_bitflips(a, b);
 }
 
@@ -123,9 +127,11 @@ TEST(BitflipSweep, BankGroup) {
   config.instances = 2;
   config.seeds = {31, 32, 33};
   BankGroup a(48, config);
-  for (std::size_t g = 0; g < 3; ++g) {
-    for (std::size_t v = 0; v < 48; v += 3) a.update(g, v, v * 5 % 4096, 1);
+  std::vector<BankVertexUpdate> updates;
+  for (std::uint32_t v = 0; v < 48; v += 3) {
+    updates.push_back({v, v * 5 % 4096, 1});
   }
+  a.ingest_updates(updates);
   BankGroup b(48, config);
   sweep_bitflips(a, b);
 }
@@ -135,7 +141,7 @@ TEST(BitflipSweep, AgmSketch) {
   AgmConfig config;
   config.seed = 25;
   AgmGraphSketch a(40, config);
-  for (const EdgeUpdate& u : updates) a.update(u.u, u.v, u.delta);
+  a.absorb(updates);
   AgmGraphSketch b(40, config);
   sweep_bitflips(a, b);
 }

@@ -15,8 +15,8 @@
 #include "core/two_pass_spanner.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "sketch/bank_group.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "util/random.h"
 
@@ -57,23 +57,25 @@ TEST(FailureModes, SparseRecoveryNeverLiesUnderChurn) {
 
 TEST(FailureModes, L0SamplerNeverReturnsDeadCoordinate) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    SketchBankConfig config;  // one vertex: a single-vector L0 sampler
+    BankGroupConfig config;  // one vertex, one group: a single sampler
     config.max_coord = 4096;
-    config.seed = 2000 + seed;
-    SketchBank sampler(1, config);
+    config.seeds = {2000 + seed};
+    BankGroup sampler(1, config);
     std::set<std::uint64_t> live;
+    std::vector<BankVertexUpdate> updates;
     Rng rng(seed);
     for (int i = 0; i < 400; ++i) {
       const std::uint64_t c = rng.next_below(4096);
       if (live.contains(c)) {
-        sampler.update(0, c, -1);
+        updates.push_back({0, c, -1});
         live.erase(c);
       } else {
-        sampler.update(0, c, +1);
+        updates.push_back({0, c, +1});
         live.insert(c);
       }
     }
-    const auto rec = sampler.decode(0);
+    sampler.ingest_updates(updates);
+    const auto rec = sampler.decode(0, 0);
     if (!rec.has_value()) continue;
     EXPECT_TRUE(live.contains(rec->coord))
         << "sampler returned a fully-deleted coordinate (seed " << seed

@@ -89,11 +89,7 @@ TEST(Integration, DistributedServersMergeAgmSketches) {
   for (int s = 0; s < 5; ++s) {
     servers.emplace_back(g.n(), config);
   }
-  for (int s = 0; s < 5; ++s) {
-    slices[s].replay([&servers, s](const EdgeUpdate& u) {
-      servers[s].update(u.u, u.v, u.delta);
-    });
-  }
+  for (int s = 0; s < 5; ++s) servers[s].absorb(slices[s].updates());
   AgmGraphSketch coordinator = std::move(servers[0]);
   for (int s = 1; s < 5; ++s) coordinator.merge(servers[s], 1);
   const ForestResult forest = agm_spanning_forest(coordinator);

@@ -106,9 +106,9 @@ TEST(KConnectivity, DistributedMerge) {
   KConnectivitySketch a(g.n(), 2, make_config(53));
   KConnectivitySketch b(g.n(), 2, make_config(53));
   KConnectivitySketch c(g.n(), 2, make_config(53));
-  parts[0].replay([&a](const EdgeUpdate& u) { a.update(u.u, u.v, u.delta); });
-  parts[1].replay([&b](const EdgeUpdate& u) { b.update(u.u, u.v, u.delta); });
-  parts[2].replay([&c](const EdgeUpdate& u) { c.update(u.u, u.v, u.delta); });
+  a.absorb(parts[0].updates());
+  b.absorb(parts[1].updates());
+  c.absorb(parts[2].updates());
   a.merge(b, 1);
   a.merge(c, 1);
   const KConnectivityResult result = std::move(a).extract();

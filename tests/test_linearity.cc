@@ -11,9 +11,9 @@
 #include "agm/neighborhood_sketch.h"
 #include "agm/spanning_forest.h"
 #include "graph/generators.h"
+#include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "util/random.h"
 
@@ -75,21 +75,23 @@ TEST_P(LinearitySeeds, SparseRecoveryIsLinear) {
 
 TEST_P(LinearitySeeds, L0SamplerIsLinear) {
   const std::uint64_t seed = GetParam();
-  SketchBankConfig config;  // one vertex: a single-vector L0 sampler
+  BankGroupConfig config;  // one vertex, one group: a single-vector sampler
   config.max_coord = 1 << 16;
-  config.seed = seed;
+  config.seeds = {seed};
   const auto s1 = random_updates(200, config.max_coord, seed * 5 + 1);
   const auto s2 = random_updates(120, config.max_coord, seed * 5 + 2);
-  SketchBank combined(1, config);
-  SketchBank a(1, config);
-  SketchBank b(1, config);
+  BankGroup combined(1, config);
+  BankGroup a(1, config);
+  BankGroup b(1, config);
   for (const auto& u : s1) {
-    combined.update(0, u.coord, u.delta);
-    a.update(0, u.coord, u.delta);
+    const BankVertexUpdate bu{0, u.coord, u.delta};
+    combined.ingest_updates({&bu, 1});
+    a.ingest_updates({&bu, 1});
   }
   for (const auto& u : s2) {
-    combined.update(0, u.coord, u.delta);
-    b.update(0, u.coord, u.delta);
+    const BankVertexUpdate bu{0, u.coord, u.delta};
+    combined.ingest_updates({&bu, 1});
+    b.ingest_updates({&bu, 1});
   }
   combined.merge(a, -1);
   combined.merge(b, -1);
@@ -158,11 +160,15 @@ TEST_P(LinearitySeeds, AgmSketchIsLinear) {
   AgmGraphSketch combined(n, config);
   AgmGraphSketch a(n, config);
   AgmGraphSketch b(n, config);
+  std::vector<EdgeUpdate> all, halves[2];
   for (std::size_t i = 0; i < g.m(); ++i) {
     const auto& e = g.edges()[i];
-    combined.update(e.u, e.v, 1);
-    (i % 2 == 0 ? a : b).update(e.u, e.v, 1);
+    all.push_back({e.u, e.v});
+    halves[i % 2].push_back({e.u, e.v});
   }
+  combined.absorb(all);
+  a.absorb(halves[0]);
+  b.absorb(halves[1]);
   combined.merge(a, -1);
   combined.merge(b, -1);
   // The difference sketch represents the empty graph.

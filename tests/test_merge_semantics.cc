@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
+#include "sketch/bank_group.h"
 #include "sketch/sparse_recovery.h"
 #include "util/random.h"
 
@@ -112,30 +112,32 @@ TEST(MergeSemantics, SparseRecoveryCommutativeAndAssociative) {
   expect_same_decode(ab_c, a_bc);
 }
 
-// ---- L0 sampler (a one-vertex SketchBank) --------------------------------
+// ---- L0 sampler (a one-vertex, one-group BankGroup) ----------------------
 
-[[nodiscard]] SketchBank l0_sampler(std::uint64_t seed) {
-  SketchBankConfig c;
+[[nodiscard]] BankGroup l0_sampler(std::uint64_t seed) {
+  BankGroupConfig c;
   c.max_coord = kMaxCoord;
   c.instances = 6;
-  c.seed = seed;
-  return SketchBank(1, c);
+  c.seeds = {seed};
+  return BankGroup(1, c);
 }
 
-// Applies updates[i] for i = shard mod parts to a fresh sampler.
-[[nodiscard]] std::vector<SketchBank> shard_l0(
+// Applies updates[i] for i = shard mod parts to a fresh sampler, one
+// update per batch.
+[[nodiscard]] std::vector<BankGroup> shard_l0(
     std::uint64_t seed, const std::vector<Update>& updates,
     std::size_t parts) {
-  std::vector<SketchBank> samplers(parts, l0_sampler(seed));
+  std::vector<BankGroup> samplers(parts, l0_sampler(seed));
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    samplers[i % parts].update(0, updates[i].coord, updates[i].delta);
+    const BankVertexUpdate u{0, updates[i].coord, updates[i].delta};
+    samplers[i % parts].ingest_updates({&u, 1});
   }
   return samplers;
 }
 
-void expect_same_decode(const SketchBank& a, const SketchBank& b) {
-  const auto da = a.decode(0);
-  const auto db = b.decode(0);
+void expect_same_decode(const BankGroup& a, const BankGroup& b) {
+  const auto da = a.decode(0, 0);
+  const auto db = b.decode(0, 0);
   ASSERT_EQ(da.has_value(), db.has_value());
   if (da.has_value()) {
     EXPECT_EQ(da->coord, db->coord);
@@ -145,28 +147,30 @@ void expect_same_decode(const SketchBank& a, const SketchBank& b) {
 
 TEST(MergeSemantics, L0SamplerShardMergeEqualsSequential) {
   const auto updates = make_updates(kMaxCoord, kSupport, 17);
-  SketchBank sequential = l0_sampler(7);
-  for (const auto& u : updates) sequential.update(0, u.coord, u.delta);
+  BankGroup sequential = l0_sampler(7);
+  std::vector<BankVertexUpdate> batch;
+  for (const auto& u : updates) batch.push_back({0, u.coord, u.delta});
+  sequential.ingest_updates(batch);
   auto parts = shard_l0(7, updates, kParts);
-  SketchBank merged = parts[0];
+  BankGroup merged = parts[0];
   for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
   expect_same_decode(merged, sequential);
-  EXPECT_TRUE(merged.decode(0).has_value());
+  EXPECT_TRUE(merged.decode(0, 0).has_value());
 }
 
 TEST(MergeSemantics, L0SamplerCommutativeAndAssociative) {
   const auto updates = make_updates(kMaxCoord, kSupport, 19);
   auto parts = shard_l0(9, updates, 3);
 
-  SketchBank ab = parts[0];
+  BankGroup ab = parts[0];
   ab.merge(parts[1], 1);
-  SketchBank ba = parts[1];
+  BankGroup ba = parts[1];
   ba.merge(parts[0], 1);
-  SketchBank ab_c = ab;
+  BankGroup ab_c = ab;
   ab_c.merge(parts[2], 1);
-  SketchBank bc = parts[1];
+  BankGroup bc = parts[1];
   bc.merge(parts[2], 1);
-  SketchBank a_bc = parts[0];
+  BankGroup a_bc = parts[0];
   a_bc.merge(bc, 1);
 
   expect_same_decode(ab, ba);

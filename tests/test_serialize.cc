@@ -27,7 +27,6 @@
 #include "graph/generators.h"
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 
@@ -200,13 +199,18 @@ TEST(SerializeRoundTrip, DistinctElements) {
 }
 
 TEST(SerializeRoundTrip, SketchBankAndBankGroup) {
-  SketchBankConfig config;
+  // A one-group bank (the single per-vertex bank) and a multi-round group.
+  BankGroupConfig config;
   config.max_coord = 1 << 12;
   config.instances = 3;
-  config.seed = 24;
-  SketchBank a(64, config);
-  for (std::size_t v = 0; v < 64; ++v) a.update(v, (v * 7) % 4096, 1);
-  SketchBank b(64, config);
+  config.seeds = {24};
+  BankGroup a(64, config);
+  std::vector<BankVertexUpdate> updates;
+  for (std::uint32_t v = 0; v < 64; ++v) {
+    updates.push_back({v, v * 7 % 4096, 1});
+  }
+  a.ingest_updates(updates);
+  BankGroup b(64, config);
   expect_round_trip_identity(a, b);
 
   BankGroupConfig gconfig;
@@ -214,9 +218,11 @@ TEST(SerializeRoundTrip, SketchBankAndBankGroup) {
   gconfig.instances = 2;
   gconfig.seeds = {31, 32, 33};
   BankGroup ga(48, gconfig);
-  for (std::size_t g = 0; g < 3; ++g) {
-    for (std::size_t v = 0; v < 48; v += 3) ga.update(g, v, v * 5 % 4096, 1);
+  updates.clear();
+  for (std::uint32_t v = 0; v < 48; v += 3) {
+    updates.push_back({v, v * 5 % 4096, 1});
   }
+  ga.ingest_updates(updates);
   BankGroup gb(48, gconfig);
   expect_round_trip_identity(ga, gb);
 }
@@ -226,7 +232,7 @@ TEST(SerializeRoundTrip, AgmSketch) {
   AgmConfig config;
   config.seed = 25;
   AgmGraphSketch a(40, config);
-  stream.replay([&a](const EdgeUpdate& u) { a.update(u.u, u.v, u.delta); });
+  a.absorb(stream_updates(stream));
   AgmGraphSketch b(40, config);
   expect_round_trip_identity(a, b);
 }
@@ -577,7 +583,7 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedFiles) {
   // before any state is parsed (the corrupt-latest-with-good-prev case --
   // fallback succeeds -- lives in test_crash_recovery.cc).
   {
-    for (const std::string path : {ckpt.path(), ckpt.path() + ".prev"}) {
+    for (const std::string& path : {ckpt.path(), ckpt.path() + ".prev"}) {
       std::ifstream is(path, std::ios::binary);
       if (!is) continue;
       std::string bytes((std::istreambuf_iterator<char>(is)),

@@ -1,21 +1,19 @@
-// SketchBank correctness pins (satellites of the flat hot-path refactor):
+// BankGroup correctness pins:
 //
-//  1. Golden decode-equivalence: the bank's fast paths (threshold level
-//     computation, precomputed fingerprint terms, shared pair hashing,
-//     batched ingest) produce cells BIT-IDENTICAL to the legacy scalar
-//     sampler algorithm (per-level loop-and-branch, OneSparseCell::add per
-//     cell), reproduced here from the bank's own randomness accessors.
-//  2. Merge semantics on the bank: associativity/commutativity and k-way
-//     shard/merge identity, mirroring tests/test_merge_semantics.cc at the
-//     bank level (exact cell equality, not just equal decodes).
-//  3. Sampler consistency: one-vertex banks (single-vector samplers) match
-//     a multi-vertex bank fed the same per-vertex updates.
-//  4. BankGroup (the fused multi-round layout): cells bit-identical to an
-//     array of per-round SketchBanks with the same seeds across every
-//     ingest path (batched pairs incl. churn aggregation, batched vertex
-//     updates, scalar, sparse fallback), plus group-level merge
-//     associativity/commutativity, k-way shard identity, and churn
-//     cancellation.
+//  1. Golden decode-equivalence: every ingest path (batched single-vertex
+//     updates, batched pair updates incl. churn aggregation, group ranges)
+//     produces cells BIT-IDENTICAL to the scalar per-level sampler
+//     algorithm in tests/reference/bank_scalar_reference.h, on both of
+//     ingest_staged's kernels -- the vertex-grouped scatter and the
+//     per-update kernel it picks for very sparse batches and for more than
+//     8 instances.
+//  2. Merge semantics: associativity/commutativity and k-way shard/merge
+//     identity on one-group banks (the single-bank case) and on multi-round
+//     groups (exact cell equality, not just equal decodes).
+//  3. Fusion: a G-group bank's cells equal G one-group banks with the same
+//     seeds, so a round's cells never depend on the rounds fused with it.
+//  4. Range checks: a bad entry anywhere in a batch throws before any cell
+//     changes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +22,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sketch/sketch_bank.h"
+#include "reference/bank_scalar_reference.h"
+#include "sketch/bank_group.h"
 #include "util/prime_field.h"
 #include "util/random.h"
 
@@ -33,56 +32,41 @@ namespace {
 
 constexpr std::uint64_t kMaxCoord = 1 << 14;
 
-[[nodiscard]] SketchBankConfig bank_config(std::uint64_t seed,
-                                           std::size_t instances = 4) {
-  SketchBankConfig c;
+// Instance counts that drive each ingest kernel on the same updates: 4
+// takes the vertex-grouped scatter whenever a batch has at least
+// vertices/2 postings; 9 (more than the packed record's 8 level slots)
+// always takes the per-update kernel.
+constexpr std::size_t kKernelInstances[] = {4, 9};
+
+// A one-group bank config (a single per-vertex bank).
+[[nodiscard]] BankGroupConfig bank_config(std::uint64_t seed,
+                                          std::size_t instances = 4) {
+  BankGroupConfig c;
   c.max_coord = kMaxCoord;
   c.instances = instances;
-  c.seed = seed;
+  c.seeds = {seed};
   return c;
 }
 
-struct Update {
-  std::uint32_t vertex;
-  std::uint64_t coord;
-  std::int64_t delta;
-};
-
 // Deletion-heavy per-vertex updates with a small surviving support.
-[[nodiscard]] std::vector<Update> make_updates(std::size_t vertices,
-                                               std::uint64_t seed) {
+[[nodiscard]] std::vector<BankVertexUpdate> make_updates(std::size_t vertices,
+                                                         std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<Update> updates;
+  std::vector<BankVertexUpdate> updates;
   for (std::size_t v = 0; v < vertices; ++v) {
+    const auto vertex = static_cast<std::uint32_t>(v);
     for (int i = 0; i < 5; ++i) {
       const std::uint64_t coord = rng.next_below(kMaxCoord);
-      updates.push_back({static_cast<std::uint32_t>(v), coord, +2});
-      updates.push_back({static_cast<std::uint32_t>(v), coord, -1});
+      updates.push_back({vertex, coord, +2});
+      updates.push_back({vertex, coord, -1});
     }
     for (int i = 0; i < 10; ++i) {  // churn: net zero
       const std::uint64_t coord = rng.next_below(kMaxCoord);
-      updates.push_back({static_cast<std::uint32_t>(v), coord, +1});
-      updates.push_back({static_cast<std::uint32_t>(v), coord, -1});
+      updates.push_back({vertex, coord, +1});
+      updates.push_back({vertex, coord, -1});
     }
   }
   return updates;
-}
-
-// The pre-bank scalar sampler update algorithm, verbatim: per-instance
-// hash evaluation, then a per-level loop that breaks at the first level the
-// hash value fails to survive.
-void scalar_reference_update(const SketchBank& geometry,
-                             std::vector<OneSparseCell>& cells,
-                             std::uint64_t coord, std::int64_t delta) {
-  if (delta == 0) return;
-  const std::size_t levels = geometry.levels();
-  for (std::size_t inst = 0; inst < geometry.instances(); ++inst) {
-    const std::uint64_t h = geometry.level_hash(inst)(coord);
-    for (std::size_t j = 0; j < levels; ++j) {
-      if (j > 0 && h >= (kFieldPrime >> j)) break;
-      cells[inst * levels + j].add(coord, delta, geometry.basis());
-    }
-  }
 }
 
 void expect_cells_equal(std::span<const OneSparseCell> a,
@@ -96,160 +80,159 @@ void expect_cells_equal(std::span<const OneSparseCell> a,
   }
 }
 
-// ---- golden equivalence with the scalar path ------------------------------
-
-TEST(SketchBankGolden, UpdateMatchesScalarReferenceCells) {
-  SketchBank bank(3, bank_config(42));
-  std::vector<std::vector<OneSparseCell>> reference(
-      3, std::vector<OneSparseCell>(bank.cells_per_vertex()));
-  for (const Update& u : make_updates(3, 7)) {
-    bank.update(u.vertex, u.coord, u.delta);
-    scalar_reference_update(bank, reference[u.vertex], u.coord, u.delta);
-  }
-  for (std::size_t v = 0; v < 3; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
-  }
-}
-
-TEST(SketchBankGolden, PairUpdateMatchesScalarReferenceCells) {
-  SketchBank bank(4, bank_config(43));
-  std::vector<std::vector<OneSparseCell>> reference(
-      4, std::vector<OneSparseCell>(bank.cells_per_vertex()));
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    const auto lo = static_cast<std::size_t>(rng.next_below(4));
-    const auto hi = (lo + 1 + rng.next_below(3)) % 4;
-    const std::uint64_t coord = rng.next_below(kMaxCoord);
-    const std::int64_t delta = 1 + static_cast<std::int64_t>(rng.next_below(3));
-    bank.update_pair(lo, hi, coord, delta);
-    scalar_reference_update(bank, reference[lo], coord, delta);
-    scalar_reference_update(bank, reference[hi], coord, -delta);
-  }
-  for (std::size_t v = 0; v < 4; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
-  }
-}
-
-TEST(SketchBankGolden, BatchedIngestMatchesScalarReferenceCells) {
-  SketchBank bank(8, bank_config(44));
-  std::vector<std::vector<OneSparseCell>> reference(
-      8, std::vector<OneSparseCell>(bank.cells_per_vertex()));
-  Rng rng(11);
-  std::vector<BankPairUpdate> batch;
-  for (int i = 0; i < 300; ++i) {
-    BankPairUpdate u;
-    u.lo = static_cast<std::uint32_t>(rng.next_below(8));
-    u.hi = static_cast<std::uint32_t>((u.lo + 1 + rng.next_below(7)) % 8);
-    u.coord = rng.next_below(kMaxCoord);
-    u.delta = static_cast<std::int64_t>(rng.next_below(5)) - 2;  // incl. 0
-    batch.push_back(u);
-    scalar_reference_update(bank, reference[u.lo], u.coord, u.delta);
-    scalar_reference_update(bank, reference[u.hi], u.coord, -u.delta);
-  }
-  bank.ingest_pairs(batch);
-  for (std::size_t v = 0; v < 8; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
-  }
-}
-
-TEST(SketchBankGolden, DecodeMatchesScalarReferenceDecode) {
-  // Decode goes through the same classify_cell as the legacy path, so cell
-  // equality implies decode equality; pin it end-to-end anyway on a
-  // single-support vector per vertex.
-  SketchBank bank(5, bank_config(45));
-  for (std::size_t v = 0; v < 5; ++v) {
-    bank.update(v, 100 + v, 3);
-  }
-  for (std::size_t v = 0; v < 5; ++v) {
-    const auto rec = bank.decode(v);
-    ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->coord, 100 + v);
-    EXPECT_EQ(rec->value, 3);
-  }
-}
-
-// ---- wrapper consistency --------------------------------------------------
-
-TEST(SketchBank, WrapperSamplersMatchBankStripes) {
-  const auto updates = make_updates(4, 21);
-  SketchBank bank(4, bank_config(46));
-  std::vector<SketchBank> samplers(4, SketchBank(1, bank_config(46)));
-  for (const Update& u : updates) {
-    bank.update(u.vertex, u.coord, u.delta);
-    samplers[u.vertex].update(0, u.coord, u.delta);
-  }
-  for (std::size_t v = 0; v < 4; ++v) {
-    expect_cells_equal(bank.stripe(v), samplers[v].stripe(0));
-    const auto a = bank.decode(v);
-    const auto b = samplers[v].decode(0);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a.has_value()) {
-      EXPECT_EQ(a->coord, b->coord);
-      EXPECT_EQ(a->value, b->value);
+void expect_matches_reference(const BankGroup& bank,
+                              const BankScalarReference& reference) {
+  for (std::size_t g = 0; g < bank.groups(); ++g) {
+    for (std::size_t v = 0; v < bank.vertices(); ++v) {
+      expect_cells_equal(bank.stripe(g, v), reference.stripe(g, v));
     }
   }
 }
 
-// ---- merge semantics ------------------------------------------------------
+// ---- golden equivalence with the scalar reference -------------------------
+
+TEST(SketchBankGolden, UpdateMatchesScalarReferenceCells) {
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup bank(3, bank_config(42, instances));
+    BankScalarReference reference(bank);
+    const auto updates = make_updates(3, 7);
+    bank.ingest_updates(updates);
+    for (const BankVertexUpdate& u : updates) {
+      reference.update(0, u.vertex, u.coord, u.delta);
+    }
+    expect_matches_reference(bank, reference);
+  }
+}
+
+TEST(SketchBankGolden, PairUpdateMatchesScalarReferenceCells) {
+  // One-update batches: each is its own staging, aggregation and scatter.
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup bank(4, bank_config(43, instances));
+    BankScalarReference reference(bank);
+    Rng rng(9);
+    for (int i = 0; i < 200; ++i) {
+      BankPairUpdate u;
+      u.lo = static_cast<std::uint32_t>(rng.next_below(4));
+      u.hi = static_cast<std::uint32_t>((u.lo + 1 + rng.next_below(3)) % 4);
+      u.coord = rng.next_below(kMaxCoord);
+      u.delta = 1 + static_cast<std::int64_t>(rng.next_below(3));
+      bank.ingest_pairs({&u, 1});
+      reference.update_pair(0, 1, u.lo, u.hi, u.coord, u.delta);
+    }
+    expect_matches_reference(bank, reference);
+  }
+}
+
+TEST(SketchBankGolden, BatchedIngestMatchesScalarReferenceCells) {
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup bank(8, bank_config(44, instances));
+    BankScalarReference reference(bank);
+    Rng rng(11);
+    std::vector<BankPairUpdate> batch;
+    for (int i = 0; i < 300; ++i) {
+      BankPairUpdate u;
+      u.lo = static_cast<std::uint32_t>(rng.next_below(8));
+      u.hi = static_cast<std::uint32_t>((u.lo + 1 + rng.next_below(7)) % 8);
+      u.coord = rng.next_below(kMaxCoord);
+      u.delta = static_cast<std::int64_t>(rng.next_below(5)) - 2;  // incl. 0
+      batch.push_back(u);
+      reference.update_pair(0, 1, u.lo, u.hi, u.coord, u.delta);
+    }
+    bank.ingest_pairs(batch);
+    expect_matches_reference(bank, reference);
+  }
+}
+
+TEST(SketchBankGolden, DecodeMatchesScalarReferenceDecode) {
+  // Decode goes through the same classify_cell for the bank's own stripes
+  // and for external cell runs, so cell equality implies decode equality;
+  // pin it end-to-end anyway on a single-support vector per vertex.
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup bank(5, bank_config(45, instances));
+    BankScalarReference reference(bank);
+    std::vector<BankVertexUpdate> updates;
+    for (std::uint32_t v = 0; v < 5; ++v) {
+      updates.push_back({v, 100 + v, 3});
+      reference.update(0, v, 100 + v, 3);
+    }
+    bank.ingest_updates(updates);
+    for (std::size_t v = 0; v < 5; ++v) {
+      const auto rec = bank.decode(0, v);
+      const auto ref = bank.decode_cells(0, reference.stripe(0, v));
+      ASSERT_TRUE(rec.has_value());
+      ASSERT_TRUE(ref.has_value());
+      EXPECT_EQ(rec->coord, 100 + v);
+      EXPECT_EQ(rec->value, 3);
+      EXPECT_EQ(ref->coord, rec->coord);
+      EXPECT_EQ(ref->value, rec->value);
+    }
+  }
+}
+
+// ---- merge semantics (one-group banks) ------------------------------------
 
 TEST(SketchBankMerge, KWayShardMergeEqualsSequential) {
   constexpr std::size_t kParts = 5;
   const auto updates = make_updates(6, 31);
-  SketchBank sequential(6, bank_config(47));
-  std::vector<SketchBank> parts(kParts, SketchBank(6, bank_config(47)));
+  BankGroup sequential(6, bank_config(47));
+  sequential.ingest_updates(updates);
+  std::vector<std::vector<BankVertexUpdate>> shards(kParts);
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const Update& u = updates[i];
-    sequential.update(u.vertex, u.coord, u.delta);
-    parts[i % kParts].update(u.vertex, u.coord, u.delta);
+    shards[i % kParts].push_back(updates[i]);
   }
-  SketchBank merged = parts[0].clone_empty();
-  for (const SketchBank& p : parts) merged.merge(p, 1);
+  BankGroup merged = sequential.clone_empty();
+  for (const auto& shard : shards) {
+    BankGroup part = sequential.clone_empty();
+    part.ingest_updates(shard);
+    merged.merge(part, 1);
+  }
   for (std::size_t v = 0; v < 6; ++v) {
-    expect_cells_equal(merged.stripe(v), sequential.stripe(v));
+    expect_cells_equal(merged.stripe(0, v), sequential.stripe(0, v));
   }
 }
 
 TEST(SketchBankMerge, CommutativeAndAssociative) {
   const auto updates = make_updates(3, 37);
-  std::vector<SketchBank> parts(3, SketchBank(3, bank_config(48)));
+  std::vector<BankGroup> parts(3, BankGroup(3, bank_config(48)));
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const Update& u = updates[i];
-    parts[i % 3].update(u.vertex, u.coord, u.delta);
+    parts[i % 3].ingest_updates({&updates[i], 1});
   }
 
-  SketchBank ab = parts[0];
+  BankGroup ab = parts[0];
   ab.merge(parts[1], 1);
-  SketchBank ba = parts[1];
+  BankGroup ba = parts[1];
   ba.merge(parts[0], 1);
-  SketchBank ab_c = ab;  // (a+b)+c
+  BankGroup ab_c = ab;  // (a+b)+c
   ab_c.merge(parts[2], 1);
-  SketchBank bc = parts[1];  // a+(b+c)
+  BankGroup bc = parts[1];  // a+(b+c)
   bc.merge(parts[2], 1);
-  SketchBank a_bc = parts[0];
+  BankGroup a_bc = parts[0];
   a_bc.merge(bc, 1);
 
   for (std::size_t v = 0; v < 3; ++v) {
-    expect_cells_equal(ab.stripe(v), ba.stripe(v));
-    expect_cells_equal(ab_c.stripe(v), a_bc.stripe(v));
+    expect_cells_equal(ab.stripe(0, v), ba.stripe(0, v));
+    expect_cells_equal(ab_c.stripe(0, v), a_bc.stripe(0, v));
   }
 }
 
 TEST(SketchBankMerge, SignedMergeCancelsExactly) {
   const auto updates = make_updates(2, 41);
-  SketchBank a(2, bank_config(49));
-  SketchBank b(2, bank_config(49));
-  for (const Update& u : updates) {
-    a.update(u.vertex, u.coord, u.delta);
-    b.update(u.vertex, u.coord, u.delta);
-  }
+  BankGroup a(2, bank_config(49));
+  BankGroup b(2, bank_config(49));
+  a.ingest_updates(updates);
+  b.ingest_updates(updates);
   a.merge(b, -1);
   EXPECT_TRUE(a.is_zero());
 }
 
 TEST(SketchBankMerge, RejectsIncompatibleBanks) {
-  SketchBank a(2, bank_config(50));
-  SketchBank b(3, bank_config(50));
-  SketchBank c(2, bank_config(51));
+  BankGroup a(2, bank_config(50));
+  BankGroup b(3, bank_config(50));
+  BankGroup c(2, bank_config(51));
   EXPECT_THROW(a.merge(b, 1), std::invalid_argument);
   EXPECT_THROW(a.merge(c, 1), std::invalid_argument);
 }
@@ -257,30 +240,35 @@ TEST(SketchBankMerge, RejectsIncompatibleBanks) {
 // ---- accumulate / decode_cells (the forest-builder surface) ---------------
 
 TEST(SketchBank, AccumulateSumsStripesAndDecodes) {
-  SketchBank bank(3, bank_config(52));
+  BankGroup bank(3, bank_config(52));
   // Edge {0,1} internal to the set {0,1}; edge with coord 77 leaves it.
-  bank.update_pair(0, 1, 5, 1);  // cancels under accumulate over {0,1}
-  bank.update(0, 77, 1);         // boundary contribution survives
-  std::vector<OneSparseCell> acc(bank.cells_per_vertex());
-  bank.accumulate(acc, 0, 1);
-  bank.accumulate(acc, 1, 1);
-  const auto rec = bank.decode_cells(acc);
+  const BankPairUpdate internal{0, 1, 5, 1};  // cancels under the {0,1} sum
+  const BankVertexUpdate boundary{0, 77, 1};  // survives
+  bank.ingest_pairs({&internal, 1});
+  bank.ingest_updates({&boundary, 1});
+  std::vector<OneSparseCell> acc(bank.cells_per_stripe());
+  bank.accumulate(acc, 0, 0, 1);
+  bank.accumulate(acc, 0, 1, 1);
+  const auto rec = bank.decode_cells(0, acc);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->coord, 77u);
   EXPECT_EQ(rec->value, 1);
 }
 
 TEST(SketchBank, RangeChecks) {
-  SketchBank bank(2, bank_config(53));
-  EXPECT_THROW(bank.update(2, 0, 1), std::out_of_range);
-  EXPECT_THROW(bank.update(0, kMaxCoord, 1), std::out_of_range);
-  EXPECT_THROW(bank.update_pair(0, 0, 1, 1), std::out_of_range);
+  // A bad entry after a good one throws before the good one lands.
+  BankGroup bank(2, bank_config(53));
+  const std::vector<BankVertexUpdate> bad_vertex = {{0, 1, 1}, {2, 0, 1}};
+  const std::vector<BankVertexUpdate> bad_coord = {{0, 1, 1},
+                                                   {0, kMaxCoord, 1}};
+  const std::vector<BankPairUpdate> self_pair = {{0, 1, 1, 1}, {0, 0, 1, 1}};
+  EXPECT_THROW(bank.ingest_updates(bad_vertex), std::out_of_range);
+  EXPECT_THROW(bank.ingest_updates(bad_coord), std::out_of_range);
+  EXPECT_THROW(bank.ingest_pairs(self_pair), std::out_of_range);
+  EXPECT_TRUE(bank.is_zero());
 }
 
-// ---- BankGroup: the fused multi-round layout ------------------------------
-//
-// The fused group must be bit-identical to an array of independent
-// per-round SketchBanks with the same seeds -- the layout it replaced.
+// ---- multi-round groups ---------------------------------------------------
 
 [[nodiscard]] std::vector<std::uint64_t> group_seeds(std::uint64_t base,
                                                      std::size_t rounds) {
@@ -324,75 +312,94 @@ TEST(SketchBank, RangeChecks) {
 }
 
 TEST(BankGroupGolden, CellsMatchPerRoundSketchBanks) {
+  // The fused group equals one one-group bank per round with the same
+  // seeds, across batched pairs (with churn duplicates, so aggregation and
+  // the net-zero drop are exercised), a one-update batch, a one-group range
+  // and single-vertex updates.
   constexpr std::size_t kRounds = 5;
   constexpr std::size_t kVertices = 8;
   BankGroup group(kVertices, group_config(91, kRounds));
-  std::vector<SketchBank> banks;
+  std::vector<BankGroup> banks;
   for (std::size_t g = 0; g < kRounds; ++g) {
-    SketchBankConfig c = bank_config(group_seeds(91, kRounds)[g]);
-    banks.emplace_back(kVertices, c);
+    banks.emplace_back(kVertices, bank_config(group_seeds(91, kRounds)[g]));
   }
-  // Mixed ingest: batched (with churn duplicates, so aggregation and the
-  // net-zero drop are exercised), scalar pair updates, and single updates.
   const auto batch = make_pair_updates(kVertices, 400, 17, /*churn=*/true);
+  const BankPairUpdate single{1, 5, 123, 2};
+  const BankPairUpdate ranged{3, 6, 99, -1};
+  const auto vertex_updates = make_updates(kVertices, 18);
   group.ingest_pairs(batch);
-  for (auto& bank : banks) bank.ingest_pairs(batch);
-  group.update_pair(0, kRounds, 1, 5, 123, 2);
-  group.update(2, 3, 99, -1);
+  group.ingest_pairs({&single, 1});
+  group.ingest_pairs({&ranged, 1}, 2, 1);
+  group.ingest_updates(vertex_updates);
   for (std::size_t g = 0; g < kRounds; ++g) {
-    banks[g].update_pair(1, 5, 123, 2);
-    if (g == 2) banks[g].update(3, 99, -1);
+    banks[g].ingest_pairs(batch);
+    banks[g].ingest_pairs({&single, 1});
+    if (g == 2) banks[g].ingest_pairs({&ranged, 1});
+    banks[g].ingest_updates(vertex_updates);
   }
   for (std::size_t g = 0; g < kRounds; ++g) {
     for (std::size_t v = 0; v < kVertices; ++v) {
-      expect_cells_equal(group.stripe(g, v), banks[g].stripe(v));
+      expect_cells_equal(group.stripe(g, v), banks[g].stripe(0, v));
     }
   }
 }
 
 TEST(BankGroupGolden, IngestUpdatesMatchesScalarUpdates) {
   constexpr std::size_t kRounds = 3;
-  BankGroup fused(6, group_config(92, kRounds));
-  BankGroup scalar(6, group_config(92, kRounds));
-  Rng rng(23);
-  std::vector<BankVertexUpdate> batch;
-  for (int i = 0; i < 300; ++i) {
-    BankVertexUpdate u;
-    u.vertex = static_cast<std::uint32_t>(rng.next_below(6));
-    u.coord = rng.next_below(kMaxCoord);
-    u.delta = static_cast<std::int64_t>(rng.next_below(5)) - 2;
-    batch.push_back(u);
-  }
-  fused.ingest_updates(batch);
-  for (const auto& u : batch) {
-    for (std::size_t g = 0; g < kRounds; ++g) {
-      scalar.update(g, u.vertex, u.coord, u.delta);
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup fused(6, group_config(92, kRounds, instances));
+    BankScalarReference reference(fused);
+    Rng rng(23);
+    std::vector<BankVertexUpdate> batch;
+    for (int i = 0; i < 300; ++i) {
+      BankVertexUpdate u;
+      u.vertex = static_cast<std::uint32_t>(rng.next_below(6));
+      u.coord = rng.next_below(kMaxCoord);
+      u.delta = static_cast<std::int64_t>(rng.next_below(5)) - 2;
+      batch.push_back(u);
+      for (std::size_t g = 0; g < kRounds; ++g) {
+        reference.update(g, u.vertex, u.coord, u.delta);
+      }
     }
-  }
-  for (std::size_t g = 0; g < kRounds; ++g) {
-    for (std::size_t v = 0; v < 6; ++v) {
-      expect_cells_equal(fused.stripe(g, v), scalar.stripe(g, v));
-    }
+    fused.ingest_updates(batch);
+    expect_matches_reference(fused, reference);
   }
 }
 
 TEST(BankGroupGolden, SparseFallbackMatchesScalarUpdates) {
-  // A tiny batch relative to the vertex count takes ingest_pairs' scalar
-  // fallback; its cells must match per-update update_pair exactly.
+  // A tiny batch relative to the vertex count (postings * 2 < vertices)
+  // takes the per-update kernel; its cells must match the reference.
   constexpr std::size_t kRounds = 3;
-  constexpr std::size_t kVertices = 4096;  // forces the sparse fallback
+  constexpr std::size_t kVertices = 4096;
   BankGroup fallback(kVertices, group_config(93, kRounds));
-  BankGroup scalar(kVertices, group_config(93, kRounds));
+  BankScalarReference reference(fallback);
   const auto batch = make_pair_updates(kVertices, 40, 29);
   fallback.ingest_pairs(batch);
   for (const auto& u : batch) {
-    if (u.delta == 0) continue;
-    scalar.update_pair(0, kRounds, u.lo, u.hi, u.coord, u.delta);
+    reference.update_pair(0, kRounds, u.lo, u.hi, u.coord, u.delta);
   }
-  for (std::size_t g = 0; g < kRounds; ++g) {
+  expect_matches_reference(fallback, reference);
+}
+
+TEST(BankGroupGolden, GroupRangeMatchesScalarUpdates) {
+  // ingest_pairs over a group range (how k-connectivity subtracts peeled
+  // forests from one layer's rounds) writes only those groups, on both
+  // kernels.
+  constexpr std::size_t kRounds = 4;
+  for (const std::size_t instances : kKernelInstances) {
+    SCOPED_TRACE(instances);
+    BankGroup group(6, group_config(102, kRounds, instances));
+    BankScalarReference reference(group);
+    const auto batch = make_pair_updates(6, 200, 53, /*churn=*/true);
+    group.ingest_pairs(batch, 1, 2);
     for (const auto& u : batch) {
-      expect_cells_equal(fallback.stripe(g, u.lo), scalar.stripe(g, u.lo));
-      expect_cells_equal(fallback.stripe(g, u.hi), scalar.stripe(g, u.hi));
+      reference.update_pair(1, 2, u.lo, u.hi, u.coord, u.delta);
+    }
+    expect_matches_reference(group, reference);
+    for (std::size_t v = 0; v < 6; ++v) {
+      EXPECT_TRUE(group.vertex_is_zero(0, v));
+      EXPECT_TRUE(group.vertex_is_zero(3, v));
     }
   }
 }
@@ -457,26 +464,6 @@ TEST(BankGroupMerge, RejectsIncompatibleGroups) {
   EXPECT_THROW(a.merge(d, 1), std::invalid_argument);
 }
 
-TEST(BankGroup, ViewDecodesLikeStandaloneBank) {
-  constexpr std::size_t kRounds = 3;
-  BankGroup group(5, group_config(98, kRounds));
-  SketchBank bank(5, bank_config(group_seeds(98, kRounds)[1]));
-  for (std::size_t v = 0; v < 5; ++v) {
-    group.update(1, v, 200 + v, 3);
-    bank.update(v, 200 + v, 3);
-  }
-  const BankGroup::View view = group.view(1);
-  for (std::size_t v = 0; v < 5; ++v) {
-    const auto a = view.decode(v);
-    const auto b = bank.decode(v);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->coord, b->coord);
-    EXPECT_EQ(a->value, b->value);
-    expect_cells_equal(view.stripe(v), bank.stripe(v));
-  }
-}
-
 TEST(BankGroup, ChurnedBatchCancelsToZero) {
   // Insert + delete of the same edges within one batch must leave the zero
   // group (the aggregation path drops them; the cells must agree with the
@@ -501,17 +488,18 @@ TEST(BankGroup, ChurnedBatchCancelsToZero) {
 
 TEST(BankGroup, RangeChecks) {
   BankGroup group(3, group_config(100, 2));
-  EXPECT_THROW(group.update(2, 0, 0, 1), std::out_of_range);   // bad group
-  EXPECT_THROW(group.update(0, 3, 0, 1), std::out_of_range);   // bad vertex
-  EXPECT_THROW(group.update(0, 0, kMaxCoord, 1), std::out_of_range);
-  EXPECT_THROW(group.update_pair(0, 3, 0, 1, 0, 1), std::out_of_range);
-  EXPECT_THROW(group.update_pair(0, 2, 1, 1, 0, 1), std::out_of_range);
-  BankPairUpdate bad;
-  bad.lo = 0;
-  bad.hi = 0;
-  bad.coord = 0;
-  bad.delta = 1;
-  EXPECT_THROW(group.ingest_pairs({&bad, 1}), std::out_of_range);
+  const BankPairUpdate good{0, 1, 0, 1};
+  const std::vector<BankPairUpdate> bad_hi = {good, {0, 3, 0, 1}};
+  const std::vector<BankPairUpdate> self_pair = {good, {1, 1, 0, 1}};
+  const std::vector<BankPairUpdate> bad_coord = {good, {0, 1, kMaxCoord, 1}};
+  const std::vector<BankVertexUpdate> bad_vertex = {{0, 0, 1}, {3, 0, 1}};
+  EXPECT_THROW(group.ingest_pairs(bad_hi), std::out_of_range);
+  EXPECT_THROW(group.ingest_pairs(self_pair), std::out_of_range);
+  EXPECT_THROW(group.ingest_pairs(bad_coord), std::out_of_range);
+  EXPECT_THROW(group.ingest_updates(bad_vertex), std::out_of_range);
+  EXPECT_THROW(group.ingest_pairs({&good, 1}, 2, 1), std::out_of_range);
+  EXPECT_THROW(group.ingest_pairs({&good, 1}, 1, 2), std::out_of_range);
+  EXPECT_TRUE(group.is_zero());
 }
 
 TEST(BankGroup, MultiplicityOverflowThrows) {

@@ -81,9 +81,7 @@ TEST(StreamEngine, FanOutMatchesLegacyPerAlgorithmRuns) {
   const Kp12Result legacy_sparsifier =
       Kp12Sparsifier(g.n(), kp12_config(9)).run(stream);
   AgmGraphSketch legacy_sketch(g.n(), agm_config);
-  stream.replay([&legacy_sketch](const EdgeUpdate& u) {
-    legacy_sketch.update(u.u, u.v, u.delta);
-  });
+  legacy_sketch.absorb(stream.updates());
   const ForestResult legacy_forest = agm_spanning_forest(legacy_sketch);
 
   EXPECT_EQ(edge_list(spanner.take_result().spanner),

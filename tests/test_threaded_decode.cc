@@ -135,9 +135,9 @@ TEST(ForestThreadedDecode, BitIdenticalAcrossLaneCounts) {
   config.seed = 23;
   const Graph g = erdos_renyi_gnm(64, 200, 29);
   AgmGraphSketch sketch(64, config);
-  for (const auto& e : g.edges()) {
-    sketch.update(e.u, e.v, 1);
-  }
+  std::vector<EdgeUpdate> batch;
+  for (const auto& e : g.edges()) batch.push_back({e.u, e.v});
+  sketch.absorb(batch);
   std::vector<std::uint32_t> identity(64);
   std::iota(identity.begin(), identity.end(), 0u);
 

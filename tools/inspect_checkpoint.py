@@ -34,7 +34,6 @@ HEADER = struct.Struct("<IIIQ")  # magic, version, tag, payload length
 
 TAG_NAMES = {
     "BKGR": "BankGroup",
-    "SKBK": "SketchBank",
     "SPRS": "SparseRecoverySketch",
     "DSTE": "DistinctElementsSketch",
     "AGMS": "AgmGraphSketch",
