@@ -14,6 +14,13 @@
 /// Output E_low cup F cup F'.  Distortion O(n/d): a shortest path visits each
 /// of the O(n/d) clusters at most once and every detour costs O(1) per
 /// cluster plus O(n/d) across the contracted forest.
+///
+/// Centers are sampled at rate min(1, center_rate_factor / d), so for
+/// d <= center_rate_factor (d <= 2 at the default factor) every vertex is a
+/// center: the center bank never attaches a vertex, every cluster is a
+/// singleton, and the output is E_low plus a spanning forest of G - E_low.
+/// With d <= 2, O(n/d) is O(n), which any spanning forest already meets, so
+/// that regime is trivial rather than wrong.
 #ifndef KW_CORE_ADDITIVE_SPANNER_H
 #define KW_CORE_ADDITIVE_SPANNER_H
 

@@ -40,7 +40,10 @@ struct TwoPassConfig {
 };
 
 struct AdditiveConfig {
-  double d = 8.0;            // the space/approximation parameter of Thm 3
+  // The space/approximation parameter of Thm 3.  d <= center_rate_factor
+  // (2 by default) is the trivial regime: the center rate clamps to 1, every
+  // vertex is a center, nothing attaches, and every cluster is a singleton.
+  double d = 8.0;
   std::uint64_t seed = 1;
 
   // Degree threshold O(d log n): low-degree iff deg <= threshold_factor *

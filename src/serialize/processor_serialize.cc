@@ -28,9 +28,10 @@ void put_edge_list(ser::Writer& w, const std::vector<Edge>& edges) {
   }
 }
 
-void get_edge_list(ser::Reader& r, std::vector<Edge>& edges) {
+// Reads a put_edge_list() record whose endpoints must lie in [0, n).
+void get_edge_list(ser::Reader& r, std::vector<Edge>& edges, Vertex n) {
   const std::uint64_t count = r.u64();
-  if (count * 16 > r.remaining()) {
+  if (count > r.remaining() / 16) {
     throw ser::SerializeError("edge list longer than the remaining payload");
   }
   edges.resize(count);
@@ -38,6 +39,9 @@ void get_edge_list(ser::Reader& r, std::vector<Edge>& edges) {
     edges[i].u = r.u32();
     edges[i].v = r.u32();
     edges[i].weight = r.f64();
+    if (edges[i].u >= n || edges[i].v >= n) {
+      throw ser::SerializeError("edge list endpoint out of range");
+    }
   }
 }
 
@@ -82,7 +86,7 @@ void SpanningForestProcessor::deserialize(ser::Reader& r) {
   finished_ = r.u8() != 0;
   if (r.u8() != 0) {
     ForestResult res;
-    get_edge_list(r, res.edges);
+    get_edge_list(r, res.edges, sketch_.n());
     res.rounds_used = static_cast<std::size_t>(r.u64());
     res.complete = r.u8() != 0;
     result_ = std::move(res);
@@ -137,8 +141,10 @@ void KConnectivitySketch::deserialize(ser::Reader& r) {
                                 "than layers");
     }
     res.forests.resize(forests);
-    for (std::vector<Edge>& forest : res.forests) get_edge_list(r, forest);
-    res.certificate = ser::get_graph(r);
+    for (std::vector<Edge>& forest : res.forests) {
+      get_edge_list(r, forest, n_);
+    }
+    res.certificate = ser::get_graph(r, n_);
     res.complete = r.u8() != 0;
     result_ = std::move(res);
   } else {

@@ -133,14 +133,24 @@ void put_graph(Writer& w, const Graph& g) {
   }
 }
 
-Graph get_graph(Reader& r) {
-  const std::uint32_t n = r.u32();
+Graph get_graph(Reader& r, std::uint32_t n) {
+  // Every stored count is checked before the O(n) adjacency or the O(m)
+  // edge list is allocated: a hostile header cannot size either.
+  check_field(r.u32(), n, "graph vertex count");
   const std::uint64_t m = r.u64();
+  if (m > r.remaining() / 16) {
+    throw SerializeError("graph edge list longer than the remaining payload");
+  }
   Graph g(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     const std::uint32_t u = r.u32();
     const std::uint32_t v = r.u32();
     const double weight = r.f64();
+    if (u >= n || v >= n || u == v) {
+      throw SerializeError("graph edge (" + std::to_string(u) + ", " +
+                           std::to_string(v) + ") invalid for " +
+                           std::to_string(n) + " vertices");
+    }
     g.add_edge(u, v, weight);
   }
   return g;
@@ -153,7 +163,7 @@ void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v) {
 
 void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v) {
   const std::uint64_t count = r.u64();
-  if (count * 4 > r.remaining()) {
+  if (count > r.remaining() / 4) {
     throw SerializeError("u32 vector longer than the remaining payload");
   }
   v.resize(count);
@@ -167,7 +177,7 @@ void put_u64_vector(Writer& w, const std::vector<std::uint64_t>& v) {
 
 void get_u64_vector(Reader& r, std::vector<std::uint64_t>& v) {
   const std::uint64_t count = r.u64();
-  if (count * 8 > r.remaining()) {
+  if (count > r.remaining() / 8) {
     throw SerializeError("u64 vector longer than the remaining payload");
   }
   v.resize(count);

@@ -140,7 +140,10 @@ void put_cell(Writer& w, const OneSparseCell& cell);
 // ---- small aggregate helpers --------------------------------------------
 
 void put_graph(Writer& w, const Graph& g);
-[[nodiscard]] Graph get_graph(Reader& r);
+// Reads a put_graph() record into a graph on the destination's `n`
+// vertices; a stored vertex count other than `n`, an edge count the
+// payload cannot hold, or an invalid endpoint throws SerializeError.
+[[nodiscard]] Graph get_graph(Reader& r, std::uint32_t n);
 
 void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v);
 void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v);

@@ -185,29 +185,84 @@ struct ScatterArgs {
   std::size_t vertices, groups, group, instances, level_count;
 };
 
+// Stripe prefetch distance and depth of the vertex-grouped scatter: while
+// vertex v is bucketed, the first kPrefetchLines cache lines of every
+// instance run of vertex v + kPrefetchAhead (same group) are requested with
+// write intent.  Consecutive stripes of one group sit a whole super-stripe
+// apart (tens of KB at AGM geometry), so without this every stripe visit is
+// a cache and TLB miss that the hardware prefetchers never predict.  The
+// first lines suffice: the suffix sweep writes cells [0..deepest] and
+// deepest is a geometric level, ~4 cells per run on average.
+constexpr std::size_t kPrefetchAhead = 8;
+constexpr std::size_t kPrefetchLines = 3;
+constexpr std::size_t kCacheLine = 64;
+
+// Byte-wise max of two words whose bytes are all below 0x80 (a level is
+// at most 65): per byte, (a | 0x80) - b keeps its high bit iff a >= b, and
+// never borrows across bytes.
+constexpr std::uint64_t byte_max(std::uint64_t a, std::uint64_t b) {
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const std::uint64_t keep_a = ((((a | kHigh) - b) & kHigh) >> 7) * 0xFF;
+  return (a & keep_a) | (b & ~keep_a);
+}
+
 // Vertex-grouped scatter of one group's contributions: per vertex, bucket
 // every touching update by its exact deepest level (one accumulator touch
-// per instance, no variable-length prefix loop), then one suffix sweep
-// lands the bucket sums in cells [0..deepest] -- bit-identical to
-// per-update add_run prefix writes because cell adds commute and the lazy
-// 128-bit fingerprint sums reduce to the same canonical residues.  The lo
-// side streams recs sequentially (staged order IS lo order); only the hi
+// per instance, no variable-length prefix loop), then one suffix sweep per
+// instance lands the bucket sums in cells [0..deepest of that instance] --
+// bit-identical to per-update add_run prefix writes because cell adds
+// commute and the lazy 128-bit fingerprint sums reduce to the same
+// canonical residues.  Buckets above an instance's own deepest level were
+// never written for this vertex, so they add nothing and are skipped.  The
+// lo side streams recs sequentially (staged order IS lo order); only the hi
 // side gathers.  INSTANCES > 0 fixes the instance count at compile time
 // (the ubiquitous 4 gets fully unrolled inner loops); 0 reads it from the
-// args at runtime.
+// args at runtime (at most 8, the packed record's level slots).  The
+// deepest level per instance is tracked as one byte-wise max over each
+// record's packed level word, which keeps the bucket loop's registers free
+// for the accumulator adds.
 template <int INSTANCES>
 KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
   const std::size_t instances = INSTANCES > 0 ? INSTANCES : a.instances;
   const std::size_t cps = instances * a.level_count;
+  const std::size_t run_bytes = a.level_count * sizeof(OneSparseCell);
+  const std::uint64_t lane_mask = ~std::uint64_t{0} >> (64 - 8 * instances);
+  const auto levels_word = [](const BankGroup::GroupRec& r) {
+    std::uint64_t word;
+    std::memcpy(&word, r.lev, 8);
+    return word;
+  };
+  // Vertex v's postings: recs [lo_begin, lo_fence) and hi_postings
+  // [hi_begin, hi_fence).
+  struct Fences {
+    std::size_t lo_begin, lo_fence, hi_begin, hi_fence;
+    [[nodiscard]] bool empty() const {
+      return lo_begin == lo_fence && hi_begin == hi_fence;
+    }
+  };
+  const auto fences = [&a](std::size_t v) {
+    return Fences{v == 0 ? 0 : a.lo_end[v - 1], a.lo_end[v],
+                  a.hi_end == nullptr || v == 0 ? 0 : a.hi_end[v - 1],
+                  a.hi_end == nullptr ? 0 : a.hi_end[v]};
+  };
   for (std::size_t v = 0; v < a.vertices; ++v) {
-    const std::size_t lo_begin = v == 0 ? 0 : a.lo_end[v - 1];
-    const std::size_t lo_fence = a.lo_end[v];
-    const std::size_t hi_begin =
-        a.hi_end == nullptr ? 0 : (v == 0 ? 0 : a.hi_end[v - 1]);
-    const std::size_t hi_fence = a.hi_end == nullptr ? 0 : a.hi_end[v];
-    if (lo_begin == lo_fence && hi_begin == hi_fence) continue;
-    std::uint8_t max_level = 0;
-    for (std::size_t idx = lo_begin; idx < lo_fence; ++idx) {
+    const std::size_t ahead = v + kPrefetchAhead;
+    if (ahead < a.vertices && !fences(ahead).empty()) {
+      const char* next = reinterpret_cast<const char*>(
+          a.cells + (ahead * a.groups + a.group) * cps);
+      for (std::size_t inst = 0; inst < instances; ++inst) {
+        for (std::size_t line = 0; line < kPrefetchLines; ++line) {
+          __builtin_prefetch(next + inst * run_bytes + line * kCacheLine,
+                             /*rw=*/1);
+        }
+      }
+    }
+    const Fences f = fences(v);
+    if (f.empty()) continue;
+    // Deepest bucket written per instance, one byte each (lanes past
+    // `instances` masked off).
+    std::uint64_t deepest = 0;
+    for (std::size_t idx = f.lo_begin; idx < f.lo_fence; ++idx) {
       const BankGroup::GroupRec& r = a.recs[idx];
       for (std::size_t inst = 0; inst < instances; ++inst) {
         const std::uint8_t j = r.lev[inst];
@@ -216,10 +271,10 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
         cell.coord_sum += r.wsum;
         cell.fp1 += r.t1;
         cell.fp2 += r.t2;
-        max_level = std::max(max_level, j);
       }
+      deepest = byte_max(deepest, levels_word(r) & lane_mask);
     }
-    for (std::size_t p = hi_begin; p < hi_fence; ++p) {
+    for (std::size_t p = f.hi_begin; p < f.hi_fence; ++p) {
       const BankGroup::GroupRec& r = a.recs[a.hi_postings[p]];
       const std::uint64_t n1 = field_neg(r.t1);
       const std::uint64_t n2 = field_neg(r.t2);
@@ -230,15 +285,15 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
         cell.coord_sum -= r.wsum;
         cell.fp1 += n1;
         cell.fp2 += n2;
-        max_level = std::max(max_level, j);
       }
+      deepest = byte_max(deepest, levels_word(r) & lane_mask);
     }
     OneSparseCell* stripe = a.cells + (v * a.groups + a.group) * cps;
     for (std::size_t inst = 0; inst < instances; ++inst) {
       OneSparseCell* run = stripe + inst * a.level_count;
       BankGroup::LazyCell* bucket = a.acc + inst * a.level_count;
       BankGroup::LazyCell carry;
-      for (std::size_t j = max_level + 1; j-- > 0;) {
+      for (std::size_t j = ((deepest >> (8 * inst)) & 0xFF) + 1; j-- > 0;) {
         carry.count += bucket[j].count;
         carry.coord_sum += bucket[j].coord_sum;
         carry.fp1 += bucket[j].fp1;

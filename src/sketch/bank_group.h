@@ -297,8 +297,9 @@ class BankGroup {
   std::vector<GroupRec> recs_;         // current group's scatter operands
   // Level-bucket accumulators of the vertex-grouped scatter: per instance,
   // the sum of one vertex's contributions whose deepest level is exactly j;
-  // a suffix sweep then lands sums in cells [0..deepest] (bit-identical to
-  // per-posting prefix writes because cell adds commute).
+  // a suffix sweep per instance then lands sums in cells [0..deepest level
+  // that instance reached] (bit-identical to per-posting prefix writes
+  // because cell adds commute).
   std::vector<LazyCell> lazy_acc_;  // instances x levels, kept zeroed
   // Staged updates are counting-sorted by lo endpoint (lo_end_ fences), so
   // the scatter's lo side streams recs_ sequentially; the hi side gathers

@@ -143,6 +143,21 @@ TEST(Additive, CenterFlagAccessible) {
   EXPECT_LT(centers, 30u);
 }
 
+TEST(Additive, CenterSamplerAttachesOnlyAboveDTwo) {
+  // The center rate center_rate_factor / d is clamped to 1, so at the
+  // default factor 2 every vertex is a center for d <= 2: no vertex
+  // attaches and every cluster is a singleton (the trivial regime).  At
+  // d = 4 the rate is 1/2 and high-degree non-centers attach.  m = 32n puts
+  // every vertex above the degree threshold at both d.
+  constexpr Vertex kN = 256;
+  const Graph g = erdos_renyi_gnm(kN, 32 * kN, 1);
+  const DynamicStream stream = DynamicStream::from_graph(g, 1);
+  AdditiveSpannerSketch trivial(kN, make_config(2, 1));
+  AdditiveSpannerSketch sampled(kN, make_config(4, 1));
+  EXPECT_EQ(trivial.run(stream).diagnostics.clusters, kN);
+  EXPECT_LT(sampled.run(stream).diagnostics.clusters, kN);
+}
+
 TEST(Additive, FinishTwiceThrows) {
   AdditiveSpannerSketch sketch(16, make_config(2, 83));
   const EdgeUpdate edge{0, 1, 1, 1.0};

@@ -272,6 +272,85 @@ TEST(SerializeRoundTrip, KConnectivityMidStream) {
   expect_round_trip_identity(a, b);
 }
 
+// ---- hostile payloads with valid CRCs -------------------------------------
+
+constexpr std::size_t kEnvelopeHeader = 20;
+
+[[nodiscard]] std::uint64_t payload_field(const std::string& bytes,
+                                          std::size_t offset,
+                                          std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(
+                 bytes[kEnvelopeHeader + offset + i])}
+             << (8 * i);
+  }
+  return value;
+}
+
+// Overwrites a little-endian payload field and recomputes the envelope CRC,
+// so only the parser's own checks stand between the bytes and the object.
+[[nodiscard]] std::string patch_payload(std::string bytes, std::size_t offset,
+                                        std::size_t width,
+                                        std::uint64_t value) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[kEnvelopeHeader + offset + i] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  const std::size_t crc_at = bytes.size() - 4;
+  const std::uint32_t crc = ser::crc32(
+      reinterpret_cast<const unsigned char*>(bytes.data()), crc_at);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(SerializeHostile, KConnectivityResultHeaderRejected) {
+  // A finished sketch saves its certificate.  A certificate vertex count of
+  // 2^32-1, an edge count past the payload, or an edge endpoint past n must
+  // throw SerializeError before the O(n) adjacency or the O(m) edge list is
+  // sized from it.
+  constexpr Vertex kN = 36;
+  const std::vector<EdgeUpdate> updates =
+      stream_updates(test_stream(kN, 180, 60, 103));
+  AgmConfig config;
+  config.seed = 27;
+  KConnectivitySketch finished(kN, 3, config);
+  finished.absorb(updates);
+  finished.finish();
+  const std::string bytes = ser::save_to_bytes(finished);
+  const KConnectivityResult result = finished.take_result();
+  ASSERT_FALSE(result.forests.empty());
+  ASSERT_FALSE(result.forests[0].empty());
+  ASSERT_GT(result.certificate.m(), 0u);
+
+  // Payload: 36 header bytes, the finished and has-result flags, the forest
+  // count, each forest's length-prefixed 16-byte edges, then the
+  // certificate's u32 n, u64 m and edges.
+  const std::size_t first_forest_edge = 36 + 2 + 8 + 8;
+  std::size_t cert = 36 + 2 + 8;
+  for (const std::vector<Edge>& forest : result.forests) {
+    cert += 8 + 16 * forest.size();
+  }
+  ASSERT_EQ(payload_field(bytes, cert, 4), kN);
+  ASSERT_EQ(payload_field(bytes, cert + 4, 8), result.certificate.m());
+
+  const auto expect_rejected = [&](const std::string& patched) {
+    KConnectivitySketch fresh(kN, 3, config);
+    EXPECT_THROW(ser::load_from_bytes(patched, fresh), ser::SerializeError);
+  };
+  expect_rejected(patch_payload(bytes, cert, 4, 0xFFFFFFFFu));
+  expect_rejected(patch_payload(bytes, cert + 4, 8, ~std::uint64_t{0}));
+  expect_rejected(patch_payload(bytes, cert + 4, 8, std::uint64_t{1} << 60));
+  expect_rejected(patch_payload(bytes, cert + 12, 4, kN));
+  expect_rejected(patch_payload(bytes, first_forest_edge + 4, 4, 0xFFFFFFFFu));
+
+  KConnectivitySketch fresh(kN, 3, config);
+  ser::load_from_bytes(bytes, fresh);  // the unpatched bytes still load
+  EXPECT_EQ(ser::save_to_bytes(fresh), bytes);
+}
+
 TEST(SerializeRoundTrip, TwoPassSpannerBothPhases) {
   const DynamicStream stream = test_stream(32, 120, 40, 104);
   const std::vector<EdgeUpdate> updates = stream_updates(stream);

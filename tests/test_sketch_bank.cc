@@ -35,7 +35,8 @@ constexpr std::uint64_t kMaxCoord = 1 << 14;
 // Instance counts that drive each ingest kernel on the same updates: 4
 // takes the vertex-grouped scatter whenever a batch has at least
 // vertices/2 postings; 9 (more than the packed record's 8 level slots)
-// always takes the per-update kernel.
+// always takes the per-update kernel.  (Other counts up to 8 take the
+// vertex-grouped scatter's runtime-count kernel.)
 constexpr std::size_t kKernelInstances[] = {4, 9};
 
 // A one-group bank config (a single per-vertex bank).
@@ -400,6 +401,52 @@ TEST(BankGroupGolden, GroupRangeMatchesScalarUpdates) {
     for (std::size_t v = 0; v < 6; ++v) {
       EXPECT_TRUE(group.vertex_is_zero(0, v));
       EXPECT_TRUE(group.vertex_is_zero(3, v));
+    }
+  }
+}
+
+TEST(BankGroupGolden, DenseMultiBatchScatterMatchesScalar) {
+  // Enough vertices that the vertex-grouped scatter's stripe prefetch runs
+  // ahead of the vertex it is writing, and three dense churned batches into
+  // the same bank, so every batch's per-instance suffix sweeps and bucket
+  // resets land on top of the previous batch's cells.  Vertices 40..55 get
+  // no postings in the second batch, a gap the scatter must skip while
+  // still prefetching past it.  Instances 4 (the unrolled kernel), 3 (the
+  // runtime-count kernel) and 9 (the per-update kernel) all must match the
+  // scalar reference after every batch.
+  constexpr std::size_t kRounds = 3;
+  constexpr std::size_t kVertices = 96;
+  constexpr std::uint32_t kGapFirst = 40;
+  constexpr std::uint32_t kGapLast = 55;
+  for (const std::size_t instances : {std::size_t{4}, std::size_t{3},
+                                      std::size_t{9}}) {
+    SCOPED_TRACE(instances);
+    BankGroup bank(kVertices, group_config(103, kRounds, instances));
+    BankScalarReference reference(bank);
+    std::vector<BankPairUpdate> previous;
+    for (std::uint64_t b = 0; b < 3; ++b) {
+      SCOPED_TRACE(b);
+      auto batch = make_pair_updates(kVertices, 600, 61 + b, /*churn=*/true);
+      // Cross-batch churn: delete part of what the previous batch inserted.
+      for (std::size_t i = 0; i < previous.size(); i += 3) {
+        BankPairUpdate del = previous[i];
+        del.delta = -del.delta;
+        batch.push_back(del);
+      }
+      if (b == 1) {
+        const auto in_gap = [&](std::uint32_t v) {
+          return v >= kGapFirst && v <= kGapLast;
+        };
+        std::erase_if(batch, [&](const BankPairUpdate& u) {
+          return in_gap(u.lo) || in_gap(u.hi);
+        });
+      }
+      bank.ingest_pairs(batch);
+      for (const auto& u : batch) {
+        reference.update_pair(0, kRounds, u.lo, u.hi, u.coord, u.delta);
+      }
+      expect_matches_reference(bank, reference);
+      previous = std::move(batch);
     }
   }
 }
