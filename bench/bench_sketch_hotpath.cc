@@ -48,9 +48,7 @@ using namespace kw::bench;
 // churn cancellation and the vertex-grouped scatter over the batch, so
 // bigger absorb() batches are strictly cheaper for these workloads; 64k
 // updates covers each bench stream in 1-3 batches, maximizing how many
-// insert+delete churn pairs cancel inside one staging pass (the library
-// default StreamEngineOptions::batch_size stays at a more conservative
-// 16k).
+// insert+delete churn pairs cancel inside one staging pass.
 constexpr std::size_t kEngineBatch = 65536;
 
 [[nodiscard]] std::vector<std::tuple<Vertex, Vertex>> forest_edges(

@@ -87,7 +87,7 @@ void KConnectivitySketch::absorb(std::span<const EdgeUpdate> batch) {
   // once into the reused buffer and drive ALL k*rounds banks with one
   // fused ingest.
   AgmGraphSketch::stage(n_, batch, staging_);
-  group_.ingest_pairs(staging_);
+  group_.ingest_pairs_in_place(staging_);
 }
 
 void KConnectivitySketch::advance_pass() {

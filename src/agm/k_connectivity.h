@@ -90,7 +90,8 @@ class KConnectivitySketch final : public StreamProcessor {
   AgmConfig config_;
   bool finished_ = false;
   BankGroup group_;  // layer i's round r at group i * rounds + r
-  std::vector<BankPairUpdate> staging_;  // absorb() batch, staged once
+  // absorb() batch, staged once and ingested in place.
+  std::vector<BankPairUpdate> staging_;
   std::optional<KConnectivityResult> result_;
   ProcessorHealth health_;  // filled at finish()
 };

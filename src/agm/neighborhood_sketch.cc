@@ -59,7 +59,7 @@ void AgmGraphSketch::ingest_staged(std::span<const BankPairUpdate> staged) {
 
 void AgmGraphSketch::absorb(std::span<const EdgeUpdate> batch) {
   stage(n_, batch, staging_);
-  ingest_staged(staging_);
+  group_.ingest_pairs_in_place(staging_);
 }
 
 void AgmGraphSketch::merge(const AgmGraphSketch& other, std::int64_t sign) {

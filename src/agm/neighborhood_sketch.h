@@ -88,7 +88,9 @@ class AgmGraphSketch {
   Vertex n_;
   AgmConfig config_;
   BankGroup group_;                      // one group per round, fused
-  std::vector<BankPairUpdate> staging_;  // absorb() batch staging, reused
+  // absorb() batch staging, reused; the bank aggregates and sorts it in
+  // place, so it is the only per-update copy of a batch.
+  std::vector<BankPairUpdate> staging_;
 };
 
 }  // namespace kw

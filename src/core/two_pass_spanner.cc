@@ -223,23 +223,33 @@ void TwoPassSpanner::absorb(std::span<const EdgeUpdate> batch) {
   if (phase_ != Phase::kPass1 && phase_ != Phase::kPass2) {
     throw std::logic_error("TwoPassSpanner: absorb() after finish()");
   }
-  // Stage once: pair ids, self-loop filtering, coordinate dedup -- the same
-  // shape the KP12 sparsifier hands to pass*_ingest, built internally so
-  // engine-driven single-instance runs ride the fused path too.
   check_endpoints(batch, n_, "TwoPassSpanner");
-  staged_entries_.clear();
-  for (const EdgeUpdate& u : batch) {
-    if (u.u == u.v) continue;
-    staged_entries_.push_back(
-        {pair_id(u.u, u.v, n_), u.u, u.v, 0, u.delta});
-  }
-  if (staged_entries_.empty()) return;
-  aggregate_batch_entries(staged_entries_, staged_ucoords_, slot_table_,
-                          slot_ids_);
-  if (phase_ == Phase::kPass2) {
-    pass2_ingest(staged_entries_);
-  } else {
-    pass1_ingest(staged_entries_, staged_ucoords_);
+  // The staging and per-pass scatter scratch grow with the batch, about
+  // 700 bytes per update (peak RSS 207 -> 218 MiB going from 16,384- to
+  // 32,768-update batches on the spanner_skewed shape), so a large engine
+  // batch is walked in fixed chunks: exact, because the sketches' state is
+  // invariant to batch boundaries.
+  constexpr std::size_t kAbsorbChunk = 16384;
+  for (std::size_t pos = 0; pos < batch.size(); pos += kAbsorbChunk) {
+    // Stage once: pair ids, self-loop filtering, coordinate dedup -- the
+    // same shape the KP12 sparsifier hands to pass*_ingest, built
+    // internally so engine-driven single-instance runs ride the fused path
+    // too.
+    staged_entries_.clear();
+    for (const EdgeUpdate& u :
+         batch.subspan(pos, std::min(kAbsorbChunk, batch.size() - pos))) {
+      if (u.u == u.v) continue;
+      staged_entries_.push_back(
+          {pair_id(u.u, u.v, n_), u.u, u.v, 0, u.delta});
+    }
+    if (staged_entries_.empty()) continue;
+    aggregate_batch_entries(staged_entries_, staged_ucoords_, slot_table_,
+                            slot_ids_);
+    if (phase_ == Phase::kPass2) {
+      pass2_ingest(staged_entries_);
+    } else {
+      pass1_ingest(staged_entries_, staged_ucoords_);
+    }
   }
 }
 

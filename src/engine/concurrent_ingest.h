@@ -59,7 +59,7 @@ struct ConcurrentIngestOptions {
   std::size_t workers = 2;
 
   // Updates buffered per shard before the buffer is flushed to its worker.
-  std::size_t flush_capacity = 16384;
+  std::size_t flush_capacity = kDefaultBatchSize;
 
   // Flushed batches that may sit in one worker's ring before the front-end
   // blocks on it (backpressure).

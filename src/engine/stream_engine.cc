@@ -407,11 +407,15 @@ void StreamEngine::run_single(StreamProcessor& processor,
 
 namespace {
 
-// One batch from the source, preferring the zero-copy view path and
-// falling back to copying into `buffer`.  Empty result = pass exhausted.
+// One batch of up to `batch_size` updates from the source, preferring the
+// zero-copy view path and falling back to copying into `buffer`, which is
+// only allocated for a source that serves no views.  Empty result = pass
+// exhausted.
 [[nodiscard]] std::span<const EdgeUpdate> pull_batch(
-    StreamSource& source, std::vector<EdgeUpdate>& buffer) {
-  if (const auto view = source.next_view(buffer.size())) return *view;
+    StreamSource& source, std::size_t batch_size,
+    std::vector<EdgeUpdate>& buffer) {
+  if (const auto view = source.next_view(batch_size)) return *view;
+  buffer.resize(batch_size);
   const std::size_t got = source.next_batch(buffer);
   return {buffer.data(), got};
 }
@@ -422,13 +426,14 @@ void StreamEngine::run_pass_sequential(
     StreamSource& source, const std::vector<StreamProcessor*>& active,
     EngineRunStats& stats, std::size_t pass_index,
     std::uint64_t skip_updates) {
-  std::vector<EdgeUpdate> buffer(options_.batch_size);
+  std::vector<EdgeUpdate> buffer;
   const bool first_pass = pass_index == 0 && skip_updates == 0;
   // Updates absorbed during this pass so far, including a resumed prefix:
   // the offset recorded with each checkpoint.
   std::uint64_t absorbed_in_pass = skip_updates;
   for (;;) {
-    const std::span<const EdgeUpdate> batch = pull_batch(source, buffer);
+    const std::span<const EdgeUpdate> batch =
+        pull_batch(source, options_.batch_size, buffer);
     if (batch.empty()) break;
     std::span<const EdgeUpdate> feed = batch;
     if (skip_updates > 0) {
@@ -468,9 +473,10 @@ void StreamEngine::run_pass_concurrent(
   // its shard's aggregation buffer, and the driver hands full buffers to
   // the worker threads over the bounded rings.
   driver.begin_pass(active);
-  std::vector<EdgeUpdate> buffer(options_.batch_size);
+  std::vector<EdgeUpdate> buffer;
   for (;;) {
-    const std::span<const EdgeUpdate> batch = pull_batch(source, buffer);
+    const std::span<const EdgeUpdate> batch =
+        pull_batch(source, options_.batch_size, buffer);
     if (batch.empty()) break;
     if (fault::fire(fault::site::kEngineAbsorbBatch)) {
       throw std::runtime_error("fault injected: engine.absorb_batch");

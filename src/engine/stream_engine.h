@@ -41,11 +41,25 @@ struct StreamEngineOptions {
 
   // Updates per absorb() call.  Fused-sketch processors (BankGroup-backed)
   // amortize staging, hashing, churn cancellation and the vertex-grouped
-  // scatter over the batch, so bigger is cheaper until the per-batch
-  // scratch falls out of L2; 16k updates (~1 MB of scratch) is a good
-  // default for every workload in this repo.  Under shards > 1 this is also
-  // each shard's aggregation-buffer flush capacity.
-  std::size_t batch_size = 16384;
+  // scatter over the batch; the scatter sweeps every vertex stripe of every
+  // group once per batch, so bigger is cheaper.  Measured on the
+  // forest_churn shape (ER n=4096, 294,912 updates a pass, one
+  // SpanningForestProcessor; engine run, median of 3 x 5, 4-vCPU x86-64):
+  //   batch      16,384  32,768  65,536  131,072  262,144
+  //   run (s)      0.65    0.51    0.39     0.27     0.15
+  //   VmHWM (MiB)   165     169     174      174      176
+  // The curve depends on two properties of the stream: how many batches a
+  // pass takes (each is one sweep of the stripes) and how many
+  // insert/delete pairs fall inside one batch and cancel before any
+  // hashing.  Here a pass is 2.25 batches of 131,072, and 47% of its
+  // updates cancel in-batch against 9% at 16,384; about half of the
+  // 16,384 -> 131,072 gain is fewer sweeps, the part a stream many batches
+  // long keeps (docs/ARCHITECTURE.md, "Batch size and per-batch scratch").
+  // BankGroup's scratch is about 90-140 bytes per update; TwoPassSpanner,
+  // whose scratch is far larger per update, walks a batch in fixed chunks.
+  // Under shards > 1 this is also each shard's aggregation-buffer flush
+  // capacity.
+  std::size_t batch_size = kDefaultBatchSize;
 
   // >1: concurrent ingestion -- a persistent ConcurrentIngestDriver with
   // this many worker threads, each owning clone_empty() copies of every
@@ -156,7 +170,7 @@ class StreamEngine {
   // convenience: exactly processor.passes_required() pass-counted replays.
   static void run_single(StreamProcessor& processor,
                          const DynamicStream& stream,
-                         std::size_t batch_size = 16384);
+                         std::size_t batch_size = kDefaultBatchSize);
 
   // True once a run()/resume() escaped with an exception mid-ingest: the
   // attached processors hold partial state that is not a prefix of any

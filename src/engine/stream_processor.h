@@ -20,6 +20,7 @@
 #ifndef KW_ENGINE_STREAM_PROCESSOR_H
 #define KW_ENGINE_STREAM_PROCESSOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -33,6 +34,12 @@
 namespace kw {
 
 class WorkerPool;
+
+// Updates per absorb() call when a driver is not told otherwise: the
+// default of StreamEngineOptions::batch_size, StreamEngine::run_single and
+// ConcurrentIngestOptions::flush_capacity.  Measured curve and the memory
+// it costs: see StreamEngineOptions::batch_size.
+inline constexpr std::size_t kDefaultBatchSize = 131072;
 
 class StreamProcessor {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 
@@ -46,10 +47,23 @@ BankGroup::BankGroup(std::size_t vertices, const BankGroupConfig& config)
 
 namespace {
 // Chunk bound keeping staged indices inside 32 bits with plenty of slack;
-// engine batches are tens of thousands of updates, raw callers may pass
-// arbitrarily large spans.
+// engine batches are at most a few hundred thousand updates, raw callers
+// may pass arbitrarily large spans.
 constexpr std::size_t kIngestChunk = std::size_t{1} << 20;
+constexpr std::uint32_t kEmptyIndex = ~std::uint32_t{0};
 }  // namespace
+
+void BankGroup::check_pairs(std::span<const BankPairUpdate> batch) const {
+  for (const BankPairUpdate& u : batch) {
+    if (u.delta == 0) continue;
+    if (u.lo >= vertices_ || u.hi >= vertices_ || u.lo == u.hi) {
+      throw std::out_of_range("sketch bank pair endpoints invalid");
+    }
+    if (u.coord >= max_coord_) {
+      throw std::out_of_range("sketch bank coordinate out of range");
+    }
+  }
+}
 
 void BankGroup::ingest_pairs(std::span<const BankPairUpdate> batch) {
   ingest_pairs(batch, 0, groups_);
@@ -64,33 +78,22 @@ void BankGroup::ingest_pairs(std::span<const BankPairUpdate> batch,
   // Validate the WHOLE span before any cell is touched, so a bad entry in a
   // later chunk cannot leave the bank partially updated (the all-or-nothing
   // contract batched callers rely on).
-  for (const BankPairUpdate& u : batch) {
-    if (u.delta == 0) continue;
-    if (u.lo >= vertices_ || u.hi >= vertices_ || u.lo == u.hi) {
-      throw std::out_of_range("sketch bank pair endpoints invalid");
-    }
-    if (u.coord >= max_coord_) {
-      throw std::out_of_range("sketch bank coordinate out of range");
-    }
-  }
+  check_pairs(batch);
   for (std::size_t pos = 0; pos < batch.size(); pos += kIngestChunk) {
-    const std::size_t len = std::min(kIngestChunk, batch.size() - pos);
-    staged_.clear();
-    weights_.clear();
-    staged_.reserve(len);
-    weights_.reserve(len);
-    for (const BankPairUpdate& u : batch.subspan(pos, len)) {
-      if (u.delta == 0) continue;
-      // Everything that depends only on (coord, delta) and not on a group's
-      // randomness -- the field image of delta, the weighted coordinate
-      // sums, validation itself (the whole-span pass above) -- is staged
-      // ONCE here and reused by every group, every instance, and both
-      // endpoints.
-      staged_.push_back({u.coord, field_from_signed(u.delta), u.lo, u.hi, 0});
-      weights_.push_back(
-          {static_cast<std::uint64_t>(u.delta) * u.coord, u.delta});
-    }
-    ingest_staged(/*pairs=*/true, group_first, group_first + group_count);
+    const auto chunk = batch.subspan(pos, std::min(kIngestChunk,
+                                                   batch.size() - pos));
+    staged_.assign(chunk.begin(), chunk.end());
+    ingest_staged(staged_, /*pairs=*/true, group_first,
+                  group_first + group_count);
+  }
+}
+
+void BankGroup::ingest_pairs_in_place(std::span<BankPairUpdate> batch) {
+  check_pairs(batch);
+  for (std::size_t pos = 0; pos < batch.size(); pos += kIngestChunk) {
+    ingest_staged(batch.subspan(pos, std::min(kIngestChunk,
+                                              batch.size() - pos)),
+                  /*pairs=*/true, 0, groups_);
   }
 }
 
@@ -108,18 +111,13 @@ void BankGroup::ingest_updates(std::span<const BankVertexUpdate> batch) {
   for (std::size_t pos = 0; pos < batch.size(); pos += kIngestChunk) {
     const std::size_t len = std::min(kIngestChunk, batch.size() - pos);
     staged_.clear();
-    weights_.clear();
     staged_.reserve(len);
-    weights_.reserve(len);
+    // Single-vertex updates stage as pairs with hi == lo; the scatter reads
+    // only the lo side.
     for (const BankVertexUpdate& u : batch.subspan(pos, len)) {
-      if (u.delta == 0) continue;
-      // hi is unused for single-posting staging.
-      staged_.push_back(
-          {u.coord, field_from_signed(u.delta), u.vertex, u.vertex, 0});
-      weights_.push_back(
-          {static_cast<std::uint64_t>(u.delta) * u.coord, u.delta});
+      staged_.push_back({u.vertex, u.vertex, u.coord, u.delta});
     }
-    ingest_staged(/*pairs=*/false, 0, groups_);
+    ingest_staged(staged_, /*pairs=*/false, 0, groups_);
   }
 }
 
@@ -127,12 +125,12 @@ namespace {
 
 // The current group's coordinate powers, once per UNIQUE coordinate: two
 // branch-free radix-256 power-table walks (r1/r2 chains interleaved, one
-// basis's tables L1-hot for the whole sweep).
+// basis's tables L1-hot for the whole sweep), landed in recs[slot].
 KW_TARGET_CLONES void slot_pows_kernel(const FingerprintBasis& basis,
                                        const std::uint64_t* ucoords,
                                        std::size_t uniques,
                                        std::size_t term_bytes,
-                                       BankGroup::SlotPows* out) {
+                                       BankGroup::GroupRec* recs) {
   const bool fixed = term_bytes <= FingerprintBasis::kPowBytes;
   for (std::size_t slot = 0; slot < uniques; ++slot) {
     std::uint64_t p1, p2;
@@ -141,37 +139,38 @@ KW_TARGET_CLONES void slot_pows_kernel(const FingerprintBasis& basis,
     } else {
       basis.pow_pair(ucoords[slot] + 1, &p1, &p2);
     }
-    out[slot] = {p1, p2};
+    recs[slot].t1 = p1;
+    recs[slot].t2 = p2;
   }
 }
 
-// Fills the current group's scatter records from the per-slot powers and
-// levels: the delta multiply is skipped exactly for unit deltas
+// Expands the per-slot powers and levels in recs[0, uniques) into the
+// current group's per-update scatter records, in place: walking updates
+// from the back, update s reads recs[slots[s]] before anything at or below
+// s is overwritten, because slots are numbered in first-use order (slots[s]
+// <= s).  The delta multiply is skipped exactly for unit deltas
 // (field_mul(1, x) == x), and the group-invariant operands are copied
 // alongside so the scatter reads ONE packed slot per update.
-KW_TARGET_CLONES void build_recs_kernel(const BankGroup::StagedUpdate* staged,
-                                        const BankGroup::StagedWeight* weights,
+KW_TARGET_CLONES void build_recs_kernel(const BankPairUpdate* staged,
+                                        const std::uint32_t* slots,
                                         std::size_t count,
-                                        const BankGroup::SlotPows* slot_pows,
-                                        const std::uint8_t* slot_levels,
-                                        BankGroup::GroupRec* out) {
-  for (std::size_t s = 0; s < count; ++s) {
-    const auto& u = staged[s];
-    const BankGroup::SlotPows sp = slot_pows[u.slot];
-    std::uint64_t p1 = sp.p1;
-    std::uint64_t p2 = sp.p2;
-    if (u.df != 1) {
-      p1 = field_mul(u.df, p1);
-      p2 = field_mul(u.df, p2);
+                                        BankGroup::GroupRec* recs) {
+  for (std::size_t s = count; s-- > 0;) {
+    const BankPairUpdate& u = staged[s];
+    const BankGroup::GroupRec slot = recs[slots[s]];
+    std::uint64_t p1 = slot.t1;
+    std::uint64_t p2 = slot.t2;
+    const std::uint64_t df = field_from_signed(u.delta);
+    if (df != 1) {
+      p1 = field_mul(df, p1);
+      p2 = field_mul(df, p2);
     }
-    BankGroup::GroupRec& r = out[s];
+    BankGroup::GroupRec& r = recs[s];
     r.t1 = p1;
     r.t2 = p2;
-    r.wsum = weights[s].wsum;
-    r.delta = weights[s].delta;
-    std::uint64_t lev8;
-    std::memcpy(&lev8, slot_levels + std::size_t{u.slot} * 8, 8);
-    std::memcpy(r.lev, &lev8, 8);
+    r.wsum = static_cast<std::uint64_t>(u.delta) * u.coord;
+    r.delta = u.delta;
+    std::memcpy(r.lev, slot.lev, 8);
   }
 }
 
@@ -187,12 +186,15 @@ struct ScatterArgs {
 
 // Stripe prefetch distance and depth of the vertex-grouped scatter: while
 // vertex v is bucketed, the first kPrefetchLines cache lines of every
-// instance run of vertex v + kPrefetchAhead (same group) are requested with
-// write intent.  Consecutive stripes of one group sit a whole super-stripe
-// apart (tens of KB at AGM geometry), so without this every stripe visit is
-// a cache and TLB miss that the hardware prefetchers never predict.  The
-// first lines suffice: the suffix sweep writes cells [0..deepest] and
-// deepest is a geometric level, ~4 cells per run on average.
+// instance run of vertex v + kPrefetchAhead (same group) are requested.
+// Consecutive stripes of one group sit a whole super-stripe apart (tens of
+// KB at AGM geometry), so without this every stripe visit is a cache and
+// TLB miss that the hardware prefetchers never predict.  The first lines
+// suffice: the suffix sweep writes cells [0..deepest] and deepest is a
+// geometric level, ~4 cells per run on average.  It is a read prefetch
+// (prefetcht0): a write-intent hint compiles to the same instruction in
+// both KW_TARGET_CLONES clones, since x86-64-v3 does not include PRFCHW,
+// and an inline-asm prefetchw measured no faster on forest_churn.
 constexpr std::size_t kPrefetchAhead = 8;
 constexpr std::size_t kPrefetchLines = 3;
 constexpr std::size_t kCacheLine = 64;
@@ -252,8 +254,7 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
           a.cells + (ahead * a.groups + a.group) * cps);
       for (std::size_t inst = 0; inst < instances; ++inst) {
         for (std::size_t line = 0; line < kPrefetchLines; ++line) {
-          __builtin_prefetch(next + inst * run_bytes + line * kCacheLine,
-                             /*rw=*/1);
+          __builtin_prefetch(next + inst * run_bytes + line * kCacheLine);
         }
       }
     }
@@ -269,8 +270,8 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
         BankGroup::LazyCell& cell = a.acc[inst * a.level_count + j];
         cell.count += r.delta;
         cell.coord_sum += r.wsum;
-        cell.fp1 += r.t1;
-        cell.fp2 += r.t2;
+        BankGroup::LazyCell::add_term(cell.fp1_lo, cell.fp1_hi, r.t1);
+        BankGroup::LazyCell::add_term(cell.fp2_lo, cell.fp2_hi, r.t2);
       }
       deepest = byte_max(deepest, levels_word(r) & lane_mask);
     }
@@ -283,8 +284,8 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
         BankGroup::LazyCell& cell = a.acc[inst * a.level_count + j];
         cell.count -= r.delta;
         cell.coord_sum -= r.wsum;
-        cell.fp1 += n1;
-        cell.fp2 += n2;
+        BankGroup::LazyCell::add_term(cell.fp1_lo, cell.fp1_hi, n1);
+        BankGroup::LazyCell::add_term(cell.fp2_lo, cell.fp2_hi, n2);
       }
       deepest = byte_max(deepest, levels_word(r) & lane_mask);
     }
@@ -292,17 +293,19 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
     for (std::size_t inst = 0; inst < instances; ++inst) {
       OneSparseCell* run = stripe + inst * a.level_count;
       BankGroup::LazyCell* bucket = a.acc + inst * a.level_count;
-      BankGroup::LazyCell carry;
+      std::int64_t count = 0;
+      std::uint64_t coord_sum = 0;
+      __uint128_t fp1 = 0, fp2 = 0;
       for (std::size_t j = ((deepest >> (8 * inst)) & 0xFF) + 1; j-- > 0;) {
-        carry.count += bucket[j].count;
-        carry.coord_sum += bucket[j].coord_sum;
-        carry.fp1 += bucket[j].fp1;
-        carry.fp2 += bucket[j].fp2;
+        count += bucket[j].count;
+        coord_sum += bucket[j].coord_sum;
+        fp1 += BankGroup::LazyCell::wide(bucket[j].fp1_lo, bucket[j].fp1_hi);
+        fp2 += BankGroup::LazyCell::wide(bucket[j].fp2_lo, bucket[j].fp2_hi);
         bucket[j] = BankGroup::LazyCell{};
-        run[j].count += carry.count;
-        run[j].coord_sum += carry.coord_sum;
-        run[j].fp1 = field_add(run[j].fp1, field_reduce_wide(carry.fp1));
-        run[j].fp2 = field_add(run[j].fp2, field_reduce_wide(carry.fp2));
+        run[j].count += count;
+        run[j].coord_sum += coord_sum;
+        run[j].fp1 = field_add(run[j].fp1, field_reduce_wide(fp1));
+        run[j].fp2 = field_add(run[j].fp2, field_reduce_wide(fp2));
       }
     }
   }
@@ -310,27 +313,27 @@ KW_TARGET_CLONES void scatter_kernel(const ScatterArgs& a) {
 
 }  // namespace
 
-void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
+void BankGroup::ingest_staged(std::span<BankPairUpdate> staged, bool pairs,
+                              std::size_t group_first,
                               std::size_t group_end) {
-  if (staged_.empty()) return;
+  if (staged.empty()) return;
 
   // Aggregate duplicate (endpoints, coordinate) updates and drop net-zero
-  // survivors: a dynamic stream's deletion carries its insertion's pair id,
-  // so churned edges collapse to NOTHING here.  Bit-identical by linearity
-  // -- summed deltas produce the same counts, weighted sums (mod 2^64) and
-  // fingerprint terms (field_mul distributes over field_from_signed sums),
-  // and a net-zero update contributes exactly zero to every cell.
+  // survivors, compacting in place: a dynamic stream's deletion carries its
+  // insertion's pair id, so churned edges collapse to NOTHING here.
+  // Bit-identical by linearity -- summed deltas produce the same counts,
+  // weighted sums (mod 2^64) and fingerprint terms (field_mul distributes
+  // over field_from_signed sums), and a net-zero update contributes exactly
+  // zero to every cell.  The table holds indices of kept records; a record
+  // is only ever moved to an index at or below its own, after it was read.
+  std::size_t count = 0;
   {
-    const std::size_t incoming = staged_.size();
-    const std::size_t table_size = next_pow2(2 * incoming);
+    const std::size_t table_size = next_pow2(2 * staged.size());
     const int shift = 64 - std::countr_zero(table_size);
-    slot_table_.assign(table_size, ~std::uint64_t{0});
-    slot_ids_.resize(table_size);
     const std::size_t mask = table_size - 1;
-    staged_tmp_.clear();
-    weights_tmp_.clear();
-    for (std::size_t idx = 0; idx < incoming; ++idx) {
-      const StagedUpdate& u = staged_[idx];
+    index_table_.assign(table_size, kEmptyIndex);
+    for (const BankPairUpdate& u : staged) {
+      if (u.delta == 0) continue;
       // Home slot mixes the endpoints in: entries sharing a coordinate but
       // not endpoints (e.g. one center's whole star in a vertex-update
       // batch) land in different slots instead of one quadratic probe
@@ -340,56 +343,48 @@ void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
           ((std::uint64_t{u.lo} << 32 | u.hi) * 0xc2b2ae3d27d4eb4fULL);
       std::size_t pos = static_cast<std::size_t>(key >> shift);
       for (;;) {
-        if (slot_table_[pos] == ~std::uint64_t{0}) {
-          slot_table_[pos] = u.coord;
-          slot_ids_[pos] = static_cast<std::uint32_t>(staged_tmp_.size());
-          staged_tmp_.push_back(u);
-          weights_tmp_.push_back(weights_[idx]);
+        const std::uint32_t id = index_table_[pos];
+        if (id == kEmptyIndex) {
+          index_table_[pos] = static_cast<std::uint32_t>(count);
+          staged[count++] = u;
           break;
         }
-        if (slot_table_[pos] == u.coord) {
-          StagedUpdate& f = staged_tmp_[slot_ids_[pos]];
-          if (f.lo == u.lo && f.hi == u.hi) {
-            StagedWeight& w = weights_tmp_[slot_ids_[pos]];
-            if (__builtin_add_overflow(w.delta, weights_[idx].delta,
-                                       &w.delta)) {
-              throw std::overflow_error(
-                  "sketch bank: update multiplicity overflow");
-            }
-            w.wsum += weights_[idx].wsum;
-            break;
+        BankPairUpdate& f = staged[id];
+        if (f.coord == u.coord && f.lo == u.lo && f.hi == u.hi) {
+          if (__builtin_add_overflow(f.delta, u.delta, &f.delta)) {
+            throw std::overflow_error(
+                "sketch bank: update multiplicity overflow");
           }
+          break;
         }
         pos = (pos + 1) & mask;
       }
     }
-    staged_.clear();
-    weights_.clear();
-    for (std::size_t idx = 0; idx < staged_tmp_.size(); ++idx) {
-      if (weights_tmp_[idx].delta == 0) continue;
-      StagedUpdate u = staged_tmp_[idx];
-      u.df = field_from_signed(weights_tmp_[idx].delta);
-      staged_.push_back(u);
-      weights_.push_back(weights_tmp_[idx]);
+    std::size_t kept = 0;
+    for (std::size_t idx = 0; idx < count; ++idx) {
+      if (staged[idx].delta != 0) staged[kept++] = staged[idx];
     }
+    count = kept;
   }
-  const std::size_t count = staged_.size();
   if (count == 0) return;
+  staged = staged.first(count);
 
   // Very sparse batches (the counting sort's O(vertices) pass would
   // dominate) and instance counts beyond the packed record's level slots
   // write each update's level runs directly instead.
   const std::size_t postings = count * (pairs ? 2 : 1);
   if (instances_ > 8 || postings * 2 < vertices_) {
-    scatter_each(pairs, group_first, group_end);
+    scatter_each(staged, pairs, group_first, group_end);
     return;
   }
 
   // Counting-sort the staged updates by lo endpoint so the scatter's lo
   // side is a sequential stream (and each vertex's contributions are
-  // contiguous); sort order does not change any cell (adds commute).
+  // contiguous); sort order does not change any cell (adds commute).  The
+  // stable destinations go into hi_postings_'s storage and are applied in
+  // place by cycle-following swaps.
   lo_end_.assign(vertices_, 0);
-  for (const StagedUpdate& s : staged_) ++lo_end_[s.lo];
+  for (const BankPairUpdate& u : staged) ++lo_end_[u.lo];
   {
     std::uint32_t running = 0;
     for (std::size_t v = 0; v < vertices_; ++v) {
@@ -398,27 +393,29 @@ void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
       running += c;
     }
   }
-  staged_tmp_.resize(count);
-  weights_tmp_.resize(count);
+  std::vector<std::uint32_t>& dest = hi_postings_;
+  dest.resize(count);
   for (std::size_t idx = 0; idx < count; ++idx) {
-    const std::uint32_t pos = lo_end_[staged_[idx].lo]++;
-    staged_tmp_[pos] = staged_[idx];
-    weights_tmp_[pos] = weights_[idx];
+    dest[idx] = lo_end_[staged[idx].lo]++;
   }
-  staged_.swap(staged_tmp_);
-  weights_.swap(weights_tmp_);
+  for (std::size_t idx = 0; idx < count; ++idx) {
+    while (dest[idx] != idx) {
+      const std::uint32_t to = dest[idx];
+      std::swap(staged[idx], staged[to]);
+      std::swap(dest[idx], dest[to]);
+    }
+  }
   if (pairs) {
     hi_end_.assign(vertices_, 0);
-    for (const StagedUpdate& s : staged_) ++hi_end_[s.hi];
+    for (const BankPairUpdate& u : staged) ++hi_end_[u.hi];
     std::uint32_t running = 0;
     for (std::size_t v = 0; v < vertices_; ++v) {
       const std::uint32_t c = hi_end_[v];
       hi_end_[v] = running;
       running += c;
     }
-    hi_postings_.resize(count);
     for (std::size_t idx = 0; idx < count; ++idx) {
-      hi_postings_[hi_end_[staged_[idx].hi]++] =
+      hi_postings_[hi_end_[staged[idx].hi]++] =
           static_cast<std::uint32_t>(idx);
     }
   }
@@ -432,36 +429,32 @@ void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
   {
     const std::size_t table_size = next_pow2(2 * count);
     const int shift = 64 - std::countr_zero(table_size);
-    slot_table_.assign(table_size, ~std::uint64_t{0});
-    slot_ids_.resize(table_size);
-    ucoords_.clear();
-    xs_.clear();
     const std::size_t mask = table_size - 1;
-    for (StagedUpdate& s : staged_) {
+    index_table_.assign(table_size, kEmptyIndex);
+    ucoords_.clear();
+    slots_.resize(count);
+    for (std::size_t idx = 0; idx < count; ++idx) {
+      const std::uint64_t coord = staged[idx].coord;
       std::size_t pos =
-          static_cast<std::size_t>((s.coord * 0x9e3779b97f4a7c15ULL) >> shift);
-      while (slot_table_[pos] != ~std::uint64_t{0} &&
-             slot_table_[pos] != s.coord) {
+          static_cast<std::size_t>((coord * 0x9e3779b97f4a7c15ULL) >> shift);
+      while (index_table_[pos] != kEmptyIndex &&
+             ucoords_[index_table_[pos]] != coord) {
         pos = (pos + 1) & mask;
       }
-      if (slot_table_[pos] == ~std::uint64_t{0}) {
-        slot_table_[pos] = s.coord;
-        slot_ids_[pos] = static_cast<std::uint32_t>(ucoords_.size());
-        ucoords_.push_back(s.coord);
-        xs_.push_back(field_reduce(s.coord + 1));
+      if (index_table_[pos] == kEmptyIndex) {
+        index_table_[pos] = static_cast<std::uint32_t>(ucoords_.size());
+        ucoords_.push_back(coord);
       }
-      s.slot = slot_ids_[pos];
+      slots_[idx] = index_table_[pos];
     }
   }
   const std::size_t uniques = ucoords_.size();
 
-  // The evaluation-point powers feed every group's every hash; one build
-  // over the unique coordinates.
+  // The x^1..x^degree table depends only on the coordinates, so one build
+  // serves every group's instance hashes.
   const std::size_t degree = hashes_[0].independence() - 1;
   powers_.resize(uniques * degree);
-  build_eval_powers(xs_, degree, powers_.data());
-  slot_levels_.resize(uniques * 8);
-  slot_pows_.resize(uniques);
+  build_eval_powers(ucoords_, degree, powers_.data());
   recs_.resize(count);
   lazy_acc_.assign(instances_ * levels_, LazyCell{});
   const std::size_t term_digits =
@@ -471,15 +464,16 @@ void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
 
   for (std::size_t g = group_first; g < group_end; ++g) {
     slot_pows_kernel(bases_[g], ucoords_.data(), uniques, term_digits,
-                     slot_pows_.data());
-    // One fused sweep per group: all of its instance polynomials advance
-    // together per unique coordinate over the shared power table.
+                     recs_.data());
+    // One fused sweep per group: all of the group's instance polynomials
+    // advance together per unique coordinate over the shared power table.
     eval_deepest_levels(hashes_.data() + g * instances_, instances_, powers_,
                         degree, uniques,
                         static_cast<std::uint8_t>(levels_ - 1),
-                        slot_levels_.data(), 8);
-    build_recs_kernel(staged_.data(), weights_.data(), count,
-                      slot_pows_.data(), slot_levels_.data(), recs_.data());
+                        reinterpret_cast<std::uint8_t*>(recs_.data()) +
+                            offsetof(GroupRec, lev),
+                        sizeof(GroupRec));
+    build_recs_kernel(staged.data(), slots_.data(), count, recs_.data());
     ScatterArgs args{recs_.data(),
                      lo_end_.data(),
                      pairs ? hi_postings_.data() : nullptr,
@@ -505,12 +499,12 @@ void BankGroup::ingest_staged(bool pairs, std::size_t group_first,
   }
 }
 
-void BankGroup::scatter_each(bool pairs, std::size_t group_first,
+void BankGroup::scatter_each(std::span<const BankPairUpdate> staged,
+                             bool pairs, std::size_t group_first,
                              std::size_t group_end) {
-  for (std::size_t idx = 0; idx < staged_.size(); ++idx) {
-    const StagedUpdate& s = staged_[idx];
-    const std::int64_t delta = weights_[idx].delta;
-    const std::uint64_t wsum = weights_[idx].wsum;
+  for (const BankPairUpdate& s : staged) {
+    const std::int64_t delta = s.delta;
+    const std::uint64_t wsum = static_cast<std::uint64_t>(delta) * s.coord;
     for (std::size_t g = group_first; g < group_end; ++g) {
       const std::uint64_t t1 = bases_[g].term1(s.coord, delta);
       const std::uint64_t t2 = bases_[g].term2(s.coord, delta);

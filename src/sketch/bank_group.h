@@ -26,9 +26,9 @@
 ///
 /// Why fuse instead of one bank per round:
 ///  * ingest_pairs(batch) stages each update ONCE -- endpoint validation,
-///    the field image of delta, the weighted coordinate sums -- instead of
-///    re-paying that staging loop per round, then drives one eval_many
-///    sweep per (group, instance) over the shared staged coordinates.
+///    churn aggregation, the endpoint sort, coordinate dedupe -- instead of
+///    re-paying that staging loop per round, then drives one fused level
+///    sweep per group over the shared unique coordinates.
 ///  * the scatter is vertex-grouped: postings are counting-sorted by
 ///    endpoint, so each vertex's stripe region is walked once per batch per
 ///    group with all of its updates applied together.  The per-round layout
@@ -111,9 +111,9 @@ class BankGroup {
   // ---- ingest ---------------------------------------------------------
 
   // Fused batched pair ingest into groups [group_first, group_first +
-  // group_count), or every group in the one-argument form: per update the
-  // pair terms that depend only on (coord, delta) are staged once, each
-  // group's instance hashes take one eval_many sweep over the staged
+  // group_count), or every group in the one-argument form: the batch is
+  // staged once (aggregated, endpoint-sorted, coordinates deduped), each
+  // group's instance hashes take one fused sweep over the unique
   // coordinates, and the scatter is grouped by endpoint vertex.  Each update
   // adds (coord, +delta) to lo's sketch and (coord, -delta) to hi's; lo and
   // hi must differ.  The whole span is validated before any cell changes.
@@ -124,6 +124,13 @@ class BankGroup {
   void ingest_pairs(std::span<const BankPairUpdate> batch);
   void ingest_pairs(std::span<const BankPairUpdate> batch,
                     std::size_t group_first, std::size_t group_count);
+
+  // ingest_pairs into every group, staging inside `batch` itself instead of
+  // a copy of it: aggregation, the lo-endpoint sort and the record fields
+  // are rewritten in place, so `batch`'s contents are unspecified afterwards
+  // (its storage is scratch the caller already owns, e.g. a sketch's
+  // reused staging vector).  Same validation and exceptions as ingest_pairs.
+  void ingest_pairs_in_place(std::span<BankPairUpdate> batch);
 
   // Fused batched single-vertex ingest into EVERY group; same staging, hash
   // sweep and vertex-grouped scatter as ingest_pairs.
@@ -221,15 +228,18 @@ class BankGroup {
     return static_cast<std::uint8_t>(deep < levels_ ? deep : levels_ - 1);
   }
 
-  // Shared machinery behind ingest_pairs / ingest_updates, consuming the
-  // staged_ scratch into groups [group_first, group_end).  `pairs` selects
-  // signed two-endpoint scatter (lo +, hi -) over single-vertex scatter.
-  void ingest_staged(bool pairs, std::size_t group_first,
-                     std::size_t group_end);
+  // Whole-span validation of a pair batch (zero-delta entries skipped).
+  void check_pairs(std::span<const BankPairUpdate> batch) const;
+  // Shared machinery behind every ingest entry point: aggregates, sorts and
+  // scatters `staged` (rewritten in place) into groups [group_first,
+  // group_end).  `pairs` selects signed two-endpoint scatter (lo +, hi -)
+  // over single-vertex scatter (lo only; hi == lo).
+  void ingest_staged(std::span<BankPairUpdate> staged, bool pairs,
+                     std::size_t group_first, std::size_t group_end);
   // ingest_staged's kernel for batches the vertex-grouped scatter does not
   // pay for: each aggregated update's level runs are written directly.
-  void scatter_each(bool pairs, std::size_t group_first,
-                    std::size_t group_end);
+  void scatter_each(std::span<const BankPairUpdate> staged, bool pairs,
+                    std::size_t group_first, std::size_t group_end);
 
   std::uint64_t max_coord_ = 1;
   std::size_t instances_ = 0;
@@ -245,22 +255,8 @@ class BankGroup {
 
   // ---- ingest scratch (persistent across batches; see ingest_pairs) ----
  public:
-  // Internal staging records, public only for the kernel functions in the
+  // Internal scatter records, public only for the kernel functions in the
   // implementation file.
-  struct StagedUpdate {
-    std::uint64_t coord;   // pair id / coordinate
-    std::uint64_t df;      // field image of delta
-    std::uint32_t lo, hi;  // hi unused for single-vertex staging
-    std::uint32_t slot;    // unique-coordinate slot (see ingest_staged)
-    std::uint32_t pad = 0;
-  };
-  struct SlotPows {
-    std::uint64_t p1, p2;  // current group's r1/r2 powers of one coordinate
-  };
-  struct StagedWeight {
-    std::uint64_t wsum;  // delta * coord (mod 2^64)
-    std::int64_t delta;
-  };
   // One staged update's scatter operands for the CURRENT group, packed so
   // the hi-endpoint gather's random read touches one 40-byte slot instead
   // of three arrays.
@@ -272,29 +268,46 @@ class BankGroup {
   };
   // Level bucket with lazily-accumulated fingerprints: 128-bit sums of
   // canonical terms, one exact reduction when the bucket lands in a cell.
+  // Each sum is kept as two words and added with an explicit carry
+  // (add_term), which compiles to add + adc-immediate on the bucket in
+  // memory; gcc 12 spills the zero high word of a __uint128_t += u64 to the
+  // stack in the unrolled scatter loop.
   struct LazyCell {
     std::int64_t count = 0;
     std::uint64_t coord_sum = 0;
-    __uint128_t fp1 = 0;
-    __uint128_t fp2 = 0;
+    std::uint64_t fp1_lo = 0, fp1_hi = 0;
+    std::uint64_t fp2_lo = 0, fp2_hi = 0;
+
+    static void add_term(std::uint64_t& lo, std::uint64_t& hi,
+                         std::uint64_t term) noexcept {
+      hi += __builtin_add_overflow(lo, term, &lo);
+    }
+    [[nodiscard]] static __uint128_t wide(std::uint64_t lo,
+                                          std::uint64_t hi) noexcept {
+      return static_cast<__uint128_t>(hi) << 64 | lo;
+    }
   };
 
  private:
-  std::vector<StagedUpdate> staged_, staged_tmp_;
-  std::vector<StagedWeight> weights_, weights_tmp_;
+  // A copy of const-span batches (ingest_pairs / ingest_updates); callers
+  // with their own staging vector use ingest_pairs_in_place and skip it.
+  std::vector<BankPairUpdate> staged_;
+  // Open-addressing table of u32 indices (~0 empty), reused by the
+  // aggregation (keys live in the staged records) and the coordinate dedupe
+  // (keys live in ucoords_).
+  std::vector<std::uint32_t> index_table_;
   // Dynamic edge streams repeat coordinates heavily (every deletion shares
   // its insertion's pair id), and everything the hashes and power walks
   // compute depends only on the coordinate -- so each chunk dedupes
-  // coordinates into slots (first-use order after the lo sort, for
-  // locality) and runs those kernels once per UNIQUE coordinate.
-  std::vector<std::uint64_t> slot_table_;   // open-addressing keys (~0 empty)
-  std::vector<std::uint32_t> slot_ids_;     // table payload: slot index
-  std::vector<std::uint64_t> ucoords_;      // slot -> coordinate
-  std::vector<std::uint64_t> xs_;      // slot -> field_reduce(coord + 1)
-  std::vector<std::uint64_t> powers_;  // xs^1..xs^degree per slot, shared
-  std::vector<std::uint8_t> slot_levels_;  // slot*8 + inst, current group
-  std::vector<SlotPows> slot_pows_;        // per slot, current group
-  std::vector<GroupRec> recs_;         // current group's scatter operands
+  // coordinates into slots (first-use order after the lo sort) and runs
+  // those kernels once per UNIQUE coordinate.
+  std::vector<std::uint32_t> slots_;    // staged update -> slot
+  std::vector<std::uint64_t> ucoords_;  // slot -> coordinate
+  std::vector<std::uint64_t> powers_;   // x^1..x^degree per slot, shared
+  // The current group's scatter operands, one per staged update.  Each
+  // group first lands per-slot powers and levels in recs_[slot], then
+  // expands them to per-update records in place (slot <= update index).
+  std::vector<GroupRec> recs_;
   // Level-bucket accumulators of the vertex-grouped scatter: per instance,
   // the sum of one vertex's contributions whose deepest level is exactly j;
   // a suffix sweep per instance then lands sums in cells [0..deepest level
@@ -303,7 +316,8 @@ class BankGroup {
   std::vector<LazyCell> lazy_acc_;  // instances x levels, kept zeroed
   // Staged updates are counting-sorted by lo endpoint (lo_end_ fences), so
   // the scatter's lo side streams recs_ sequentially; the hi side gathers
-  // through hi_postings_ (staged indices sorted by hi, hi_end_ fences).
+  // through hi_postings_ (staged indices sorted by hi, hi_end_ fences),
+  // whose storage first holds the lo sort's permutation.
   std::vector<std::uint32_t> lo_end_;
   std::vector<std::uint32_t> hi_postings_;
   std::vector<std::uint32_t> hi_end_;

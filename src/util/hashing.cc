@@ -109,11 +109,11 @@ void eval_levels_block_dispatch(const KWiseHash* hashes, std::size_t stride,
 
 }  // namespace
 
-KW_TARGET_CLONES void build_eval_powers(std::span<const std::uint64_t> xs,
+KW_TARGET_CLONES void build_eval_powers(std::span<const std::uint64_t> keys,
                                         std::size_t degree,
                                         std::uint64_t* out) {
-  for (std::size_t s = 0; s < xs.size(); ++s) {
-    const std::uint64_t x = xs[s];
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    const std::uint64_t x = field_reduce(keys[s] + 1);
     std::uint64_t* row = out + s * degree;
     std::uint64_t acc = x;
     for (std::size_t j = 0; j < degree; ++j) {

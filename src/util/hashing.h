@@ -116,13 +116,13 @@ class KWiseHash {
 };
 
 // Shared power table for eval_deepest_levels: out[s * degree + (j-1)] =
-// xs[s]^(j) over F_p for j = 1..degree, where xs[s] = field_reduce(key_s+1)
-// is the pre-reduced evaluation point.  The table depends only on the keys,
-// NOT on any hash's coefficients, so one build serves every hash function
-// evaluated over the batch (all 48 group x instance hashes of a 12-round
-// AGM sketch, for example).
-void build_eval_powers(std::span<const std::uint64_t> xs, std::size_t degree,
-                       std::uint64_t* out);
+// x_s^j over F_p for j = 1..degree, where x_s = field_reduce(keys[s] + 1)
+// is key s's evaluation point (the one KWiseHash::operator() uses).  The
+// table depends only on the keys, NOT on any hash's coefficients, so one
+// build serves every hash function evaluated over the batch (all 48 group x
+// instance hashes of a 12-round AGM sketch, for example).
+void build_eval_powers(std::span<const std::uint64_t> keys,
+                       std::size_t degree, std::uint64_t* out);
 
 // Fused level sweep for a block of hash functions sharing one key stream:
 // out[s * out_stride + h] = min(level_cap, deepest_level(hashes[h](key_s)))

@@ -86,8 +86,9 @@ namespace {
 // ---- differential bit-identity: every shardable processor -----------------
 //
 // sharded(N) == sequential for shard counts {1, 2, 7, hardware_concurrency}
-// x batch sizes {1, 17, 16384}, on churn streams (insert+delete pairs in
-// full effect).  `Extract` maps a finished processor to a comparable graph.
+// x batch sizes {1, 17, 16384, the engine default, one batch longer than
+// the whole stream}, on churn streams (insert+delete pairs in full effect).
+// `Extract` maps a finished processor to a comparable graph.
 
 template <class Processor, class Make, class Extract>
 void expect_bit_identity_sweep(const DynamicStream& stream, Make make,
@@ -100,7 +101,8 @@ void expect_bit_identity_sweep(const DynamicStream& stream, Make make,
 
   for (const std::size_t shards : sweep_shards()) {
     for (const std::size_t batch :
-         {std::size_t{1}, std::size_t{17}, std::size_t{16384}}) {
+         {std::size_t{1}, std::size_t{17}, std::size_t{16384},
+          kDefaultBatchSize, stream.size() + 1}) {
       Processor sharded = make();
       StreamEngine engine(StreamEngineOptions{batch, shards});
       engine.attach(sharded);

@@ -451,6 +451,70 @@ TEST(BankGroupGolden, DenseMultiBatchScatterMatchesScalar) {
   }
 }
 
+TEST(BankGroupGolden, InPlaceStagingMatchesScalar) {
+  // Staging aggregates, lo-sorts and numbers coordinate slots inside the
+  // batch's own storage (ingest_pairs_in_place) or a copy of it
+  // (ingest_pairs), and each group expands per-slot powers and levels into
+  // per-update records in place.  Three shapes on both entry points, for
+  // the unrolled (4), runtime-count (3) and per-update (9) kernels:
+  //  * a batch that cancels to nothing leaves every cell zero;
+  //  * one coordinate at several endpoint pairs, so many staged updates
+  //    share one slot (and some share endpoints too and aggregate first);
+  //  * a multiplicity overflow throws std::overflow_error and leaves the
+  //    cells as they were.
+  constexpr std::size_t kRounds = 3;
+  constexpr std::size_t kVertices = 24;
+  constexpr std::uint64_t kShared = 777;
+  for (const std::size_t instances : {std::size_t{4}, std::size_t{3},
+                                      std::size_t{9}}) {
+    for (const bool in_place : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "instances=" << instances << " in_place=" << in_place);
+      BankGroup bank(kVertices, group_config(104, kRounds, instances));
+      BankScalarReference reference(bank);
+      const auto ingest = [&](std::vector<BankPairUpdate> batch) {
+        if (in_place) {
+          bank.ingest_pairs_in_place(batch);
+        } else {
+          bank.ingest_pairs(batch);
+        }
+      };
+
+      auto cancel = make_pair_updates(kVertices, 200, 71);
+      for (std::size_t i = 0, inserts = cancel.size(); i < inserts; ++i) {
+        BankPairUpdate del = cancel[i];
+        del.delta = -del.delta;
+        cancel.push_back(del);
+      }
+      ingest(cancel);
+      EXPECT_TRUE(bank.is_zero());
+
+      std::vector<BankPairUpdate> shared;
+      for (std::uint32_t lo = 0; lo < kVertices; ++lo) {
+        for (std::uint32_t step = 1; step <= 3; ++step) {
+          const auto hi = static_cast<std::uint32_t>((lo + step) % kVertices);
+          const auto delta = static_cast<std::int64_t>((lo + step) % 5) - 2;
+          shared.push_back({lo, hi, kShared, delta});
+          if (step == 2) shared.push_back({lo, hi, kShared, 3});
+        }
+        const auto far = static_cast<std::uint32_t>((lo + 5) % kVertices);
+        shared.push_back({lo, far, 1000 + lo, 1});
+      }
+      ingest(shared);
+      for (const auto& u : shared) {
+        reference.update_pair(0, kRounds, u.lo, u.hi, u.coord, u.delta);
+      }
+      expect_matches_reference(bank, reference);
+
+      auto overflow = make_pair_updates(kVertices, 100, 73);
+      overflow.push_back({2, 9, 555, std::numeric_limits<std::int64_t>::max()});
+      overflow.push_back({2, 9, 555, 1});
+      EXPECT_THROW(ingest(overflow), std::overflow_error);
+      expect_matches_reference(bank, reference);
+    }
+  }
+}
+
 TEST(BankGroupMerge, KWayShardMergeEqualsSequential) {
   constexpr std::size_t kParts = 4;
   constexpr std::size_t kRounds = 4;
